@@ -16,8 +16,9 @@ import (
 // one group race exactly when they carry the same phase and at least one is
 // a write — the group barrier is the only happens-before edge the language
 // offers. Keying the check on the phase, not on wall-clock interleaving,
-// makes detection deterministic: whichever of the two racing accesses the
-// scheduler runs second finds the first one's shadow record and traps.
+// makes detection independent of lane order: gpusim runs a group's lanes in
+// ascending local id between barriers, but the shadow records are built so
+// that any order of the racing accesses traps (see slotShadow).
 //
 // Barrier divergence is detected at retirement: work-items of one group
 // that executed different barrier counts took divergent paths through a
@@ -47,16 +48,21 @@ type groupShadow struct {
 	exitSet   bool
 }
 
-// slotShadow remembers the most recent write and read of one __local float
-// slot. A single record per kind is enough for deterministic detection: a
-// lane's write to its own slot precedes its reads of others' (program
-// order), so in any schedule of a racy kernel some access observes a
-// conflicting record before it is overwritten.
+// slotShadow is the shadow record of one __local float slot within the
+// current phase: the last writer, and the reader set reduced to its first
+// lane plus a second, distinct lane if there is one. A write races with a
+// same-phase read exactly when some lane other than the writer read the
+// slot; the first reader alone cannot tell, because the writer may itself
+// be the first reader, so a second reader is kept as the witness. The last
+// writer is enough for the other conflicts: a second writer, or a reader
+// after a write, finds it, and a different writer would already have
+// trapped on overwriting it.
 type slotShadow struct {
 	wLane, wPhase int
 	hasW          bool
 	rLane, rPhase int
 	hasR          bool
+	rOther        int // a same-phase reader other than rLane, or -1
 }
 
 func (st *CheckedState) group(id int) *groupShadow {
@@ -101,14 +107,29 @@ func (c *checkedItem) access(slot int32, write bool, tok Token) {
 			tok.Pos(), kind, slot, c.lane, s.wLane))
 	}
 	if write {
-		if s.hasR && s.rPhase == c.phase && s.rLane != c.lane {
-			panic(fmt.Sprintf("clc: %s: checked: localrace: write of __local slot %d by work-item %d races with a read by work-item %d in the same barrier phase",
-				tok.Pos(), slot, c.lane, s.rLane))
+		if s.hasR && s.rPhase == c.phase {
+			if other := s.otherReader(c.lane); other >= 0 {
+				panic(fmt.Sprintf("clc: %s: checked: localrace: write of __local slot %d by work-item %d races with a read by work-item %d in the same barrier phase",
+					tok.Pos(), slot, c.lane, other))
+			}
 		}
 		s.wLane, s.wPhase, s.hasW = c.lane, c.phase, true
+	} else if s.hasR && s.rPhase == c.phase {
+		if s.rOther < 0 && c.lane != s.rLane {
+			s.rOther = c.lane
+		}
 	} else {
-		s.rLane, s.rPhase, s.hasR = c.lane, c.phase, true
+		s.rLane, s.rPhase, s.hasR, s.rOther = c.lane, c.phase, true, -1
 	}
+}
+
+// otherReader returns a lane other than lane that read the slot in the
+// recorded phase, or -1 if none did.
+func (s *slotShadow) otherReader(lane int) int {
+	if s.rLane != lane {
+		return s.rLane
+	}
+	return s.rOther
 }
 
 // barrier advances this work-item's phase.

@@ -19,7 +19,6 @@ func (d *Device) NewBufferF32(name string, n int) *Buffer {
 		panic(fmt.Sprintf("gpusim: negative buffer size %d for %q", n, name))
 	}
 	b := &Buffer{name: name, f: make([]float32, n)}
-	d.buffers = append(d.buffers, b)
 	d.allocated += int64(n) * 4
 	return b
 }
@@ -30,7 +29,6 @@ func (d *Device) NewBufferI32(name string, n int) *Buffer {
 		panic(fmt.Sprintf("gpusim: negative buffer size %d for %q", n, name))
 	}
 	b := &Buffer{name: name, i: make([]int32, n)}
-	d.buffers = append(d.buffers, b)
 	d.allocated += int64(n) * 4
 	return b
 }

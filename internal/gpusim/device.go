@@ -4,9 +4,10 @@
 // The simulator has two halves that share one execution:
 //
 //   - A functional half: kernels are ordinary Go functions invoked once per
-//     work-item, with real work-group barriers (work-items of a group run as
-//     lockstep goroutines) and real local memory, so a kernel's numerical
-//     output can be validated against the CPU reference.
+//     work-item, with real work-group barriers (the work-items of a group
+//     are coroutines that one worker goroutine steps in ascending local id
+//     from barrier to barrier) and real local memory, so a kernel's
+//     numerical output can be validated against the CPU reference.
 //
 //   - An analytic half: every global-memory access, local-memory access and
 //     ALU operation a kernel performs is charged to per-work-item counters,
@@ -223,11 +224,12 @@ func (c DeviceConfig) Validate() error {
 	return nil
 }
 
-// Device is a simulated GPU: a configuration plus allocated buffers.
+// Device is a simulated GPU: a configuration plus a tally of the bytes
+// allocated on it. The device keeps no reference to its buffers, so a
+// buffer the caller drops is garbage-collected.
 type Device struct {
 	Config DeviceConfig
 
-	buffers   []*Buffer
 	allocated int64
 }
 
@@ -249,5 +251,6 @@ func MustNewDevice(cfg DeviceConfig) *Device {
 	return d
 }
 
-// Allocated returns the total bytes of device buffers currently allocated.
+// Allocated returns the total bytes of every buffer allocated on the device
+// so far; buffers are never freed explicitly, so the tally only grows.
 func (d *Device) Allocated() int64 { return d.allocated }

@@ -2,8 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -31,6 +29,9 @@ type Item struct {
 	global int
 	local  int
 	ln     laneCounters
+	// yield suspends the lane's coroutine (returned is false at a barrier)
+	// and reports false once the worker has stopped the lane.
+	yield func(returned bool) bool
 }
 
 type laneCounters struct {
@@ -70,9 +71,15 @@ func (wi *Item) Flops(n int) { wi.ln.flops += int64(n) }
 func (wi *Item) Aux(n int) { wi.ln.auxFlops += int64(n) }
 
 // Barrier synchronises the work-group, like OpenCL barrier(CLK_LOCAL_MEM_FENCE).
-// Work-items that have already returned do not participate (the executor
-// retires them), so uniform-exit kernels cannot deadlock.
-func (wi *Item) Barrier() { wi.g.bar.wait() }
+// It suspends the lane until every other live lane of the group has reached
+// a barrier or returned. Work-items that have already returned do not
+// participate (the executor retires them), so uniform-exit kernels cannot
+// deadlock.
+func (wi *Item) Barrier() {
+	if !wi.yield(false) {
+		panic(errLaneStopped)
+	}
+}
 
 func (wi *Item) checkF32(b *Buffer, idx int) {
 	if b.f == nil {
@@ -192,62 +199,14 @@ func (wi *Item) ChargeGlobal(coalescedBytes, scatteredBytes int) {
 // ChargeLDS charges local-memory bytes in bulk.
 func (wi *Item) ChargeLDS(bytes int) { wi.ln.ldsBytes += int64(bytes) }
 
-// groupCtx is the shared state of one executing work-group.
+// groupCtx is the shared state of one executing work-group. A worker owns
+// one and reuses it for every group it runs.
 type groupCtx struct {
 	id         int
 	local      int
 	globalSize int
 	numGroups  int
 	lds        []float32
-	bar        *groupBarrier
-}
-
-// groupBarrier is a reusable barrier that tolerates work-items retiring
-// early (their slots stop being waited for).
-type groupBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	active  int
-	waiting int
-	phase   uint64
-	crossed int64
-}
-
-func newGroupBarrier(n int) *groupBarrier {
-	b := &groupBarrier{active: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *groupBarrier) wait() {
-	b.mu.Lock()
-	phase := b.phase
-	b.waiting++
-	if b.waiting >= b.active {
-		b.release()
-	} else {
-		for b.phase == phase {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
-
-func (b *groupBarrier) retire() {
-	b.mu.Lock()
-	b.active--
-	if b.active > 0 && b.waiting >= b.active {
-		b.release()
-	}
-	b.mu.Unlock()
-}
-
-// release must be called with mu held.
-func (b *groupBarrier) release() {
-	b.waiting = 0
-	b.phase++
-	b.crossed++
-	b.cond.Broadcast()
 }
 
 // GroupCost aggregates the counted work of one work-group, the input to the
@@ -311,122 +270,4 @@ func (r *Result) GFLOPS() float64 {
 		return 0
 	}
 	return float64(r.TotalFlops()) / r.Timing.KernelSeconds / 1e9
-}
-
-// Launch executes the kernel over the NDRange and returns its counted work
-// and modelled timing. Execution is functionally exact: all work-items run,
-// barriers really synchronise, and buffer contents after Launch are the
-// kernel's true output. A panic inside the kernel (including buffer
-// overruns) is converted into an error identifying the kernel.
-func (d *Device) Launch(name string, fn KernelFunc, p LaunchParams) (*Result, error) {
-	if p.Local <= 0 {
-		return nil, fmt.Errorf("gpusim: kernel %s: non-positive local size %d", name, p.Local)
-	}
-	if p.Global <= 0 || p.Global%p.Local != 0 {
-		return nil, fmt.Errorf("gpusim: kernel %s: global size %d not a positive multiple of local %d",
-			name, p.Global, p.Local)
-	}
-	if p.LDSFloats*4 > d.Config.LDSPerCU {
-		return nil, fmt.Errorf("gpusim: kernel %s: LDS request %d bytes exceeds %d per CU",
-			name, p.LDSFloats*4, d.Config.LDSPerCU)
-	}
-	numGroups := p.Global / p.Local
-	res := &Result{Kernel: name, Params: p, Groups: make([]GroupCost, numGroups)}
-
-	var firstErr error
-	var errMu sync.Mutex
-	reportErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > numGroups {
-		workers = numGroups
-	}
-	groupCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gid := range groupCh {
-				d.runGroup(name, fn, p, gid, numGroups, &res.Groups[gid], reportErr)
-			}
-		}()
-	}
-	for gid := 0; gid < numGroups; gid++ {
-		groupCh <- gid
-	}
-	close(groupCh)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res.Timing = d.cost(res)
-	return res, nil
-}
-
-// runGroup executes one work-group: its work-items run as goroutines in
-// lockstep at barriers.
-func (d *Device) runGroup(name string, fn KernelFunc, p LaunchParams, gid, numGroups int,
-	cost *GroupCost, reportErr func(error)) {
-
-	g := &groupCtx{
-		id:         gid,
-		local:      p.Local,
-		globalSize: p.Global,
-		numGroups:  numGroups,
-		bar:        newGroupBarrier(p.Local),
-	}
-	if p.LDSFloats > 0 {
-		g.lds = make([]float32, p.LDSFloats)
-	}
-	lanes := make([]laneCounters, p.Local)
-
-	var wg sync.WaitGroup
-	for l := 0; l < p.Local; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			defer g.bar.retire()
-			defer func() {
-				if r := recover(); r != nil {
-					reportErr(fmt.Errorf("gpusim: kernel %s: work-item global=%d local=%d group=%d panicked: %v",
-						name, gid*p.Local+l, l, gid, r))
-				}
-			}()
-			wi := &Item{g: g, global: gid*p.Local + l, local: l}
-			fn(wi)
-			lanes[l] = wi.ln
-		}(l)
-	}
-	wg.Wait()
-
-	wf := d.Config.WavefrontSize
-	for base := 0; base < p.Local; base += wf {
-		var maxIssue int64
-		end := base + wf
-		if end > p.Local {
-			end = p.Local
-		}
-		for l := base; l < end; l++ {
-			if issue := lanes[l].flops + lanes[l].auxFlops; issue > maxIssue {
-				maxIssue = issue
-			}
-		}
-		cost.WFMaxFlops += maxIssue
-	}
-	for l := range lanes {
-		cost.Flops += lanes[l].flops
-		cost.AuxFlops += lanes[l].auxFlops
-		cost.BytesCoalesced += lanes[l].bytesCoalesced
-		cost.BytesScattered += lanes[l].bytesScattered
-		cost.LDSBytes += lanes[l].ldsBytes
-	}
-	cost.Barriers = g.bar.crossed
 }

@@ -1,9 +1,11 @@
 package gpusim
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testDev(t testing.TB) *Device {
@@ -332,6 +334,29 @@ func TestBufferAllocation(t *testing.T) {
 	}()
 }
 
+func TestDroppedBufferIsCollected(t *testing.T) {
+	// The device tallies allocations but holds no buffer, so a buffer its
+	// caller drops (a superseded grow-only plan buffer) is garbage.
+	d := testDev(t)
+	defer runtime.KeepAlive(d) // the device outlives the buffer
+	collected := make(chan struct{})
+	b := d.NewBufferF32("dropped", 1<<16)
+	runtime.SetFinalizer(b, func(*Buffer) { close(collected) })
+	b = nil
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if d.Allocated() != 1<<18 {
+				t.Errorf("Allocated = %d after collection, want %d", d.Allocated(), 1<<18)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("dropped buffer was never collected: the device still references it")
+}
+
 func TestDeviceConfigValidation(t *testing.T) {
 	good := TestDevice()
 	if err := good.Validate(); err != nil {
@@ -412,5 +437,118 @@ func TestAtomicAddGlobal(t *testing.T) {
 		wi.AtomicAddGlobalI32(fbuf, 0, 1)
 	}, LaunchParams{Global: 8, Local: 8}); err == nil {
 		t.Error("atomic on float buffer accepted")
+	}
+}
+
+func TestLanesRunInAscendingOrderBetweenBarriers(t *testing.T) {
+	// A deliberately racy kernel: every lane appends its local id to an
+	// LDS log with a non-atomic read-modify-write of the log length, over
+	// three barrier phases. Lane 2 leaves after the first phase. Lockstep
+	// execution makes the log exactly the live lanes in ascending order,
+	// phase after phase, on every launch.
+	d := testDev(t)
+	const local, groups, phases = 8, 4, 3
+	out := d.NewBufferF32("log", groups*(1+phases*local))
+	kernel := func(wi *Item) {
+		lds := wi.RawLDS()
+		for ph := 0; ph < phases; ph++ {
+			if ph == 1 && wi.LocalID() == 2 {
+				return
+			}
+			n := int(lds[0])
+			lds[1+n] = float32(wi.LocalID())
+			lds[0] = float32(n + 1)
+			wi.Barrier()
+		}
+		if wi.LocalID() == 0 {
+			base := wi.GroupID() * (1 + phases*local)
+			for i := 0; i < 1+phases*local; i++ {
+				wi.StoreGlobalF32(out, base+i, lds[i])
+			}
+		}
+	}
+	var want []float32
+	for g := 0; g < groups; g++ {
+		log := []float32{0}
+		for ph := 0; ph < phases; ph++ {
+			for l := 0; l < local; l++ {
+				if ph == 0 || l != 2 {
+					log = append(log, float32(l))
+				}
+			}
+		}
+		log[0] = float32(len(log) - 1)
+		for len(log) < 1+phases*local {
+			log = append(log, 0)
+		}
+		want = append(want, log...)
+	}
+	for run := 0; run < 20; run++ {
+		clear(out.HostF32())
+		if _, err := d.Launch("racy-log", kernel, LaunchParams{
+			Global: groups * local, Local: local, LDSFloats: 1 + phases*local,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out.HostF32() {
+			if v != want[i] {
+				t.Fatalf("launch %d: log[%d] = %g, want %g (log %v)", run, i, v, want[i], out.HostF32())
+			}
+		}
+	}
+}
+
+func TestLanePanicAtBarrierReportsLaneAndLeaksNothing(t *testing.T) {
+	// Lane 5 of group 1 panics while its group's other lanes wait at a
+	// barrier. The launch must fail naming that lane, and every lane
+	// coroutine must be gone once Launch returns.
+	d := testDev(t)
+	before := runtime.NumGoroutine()
+	_, err := d.Launch("panic-at-barrier", func(wi *Item) {
+		if wi.GroupID() == 1 && wi.LocalID() == 5 {
+			panic("lane fault")
+		}
+		wi.Barrier()
+		wi.Barrier()
+	}, LaunchParams{Global: 64, Local: 16})
+	if err == nil {
+		t.Fatal("panicking lane did not fail the launch")
+	}
+	for _, part := range []string{"lane fault", "global=21", "local=5", "group=1"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not mention %q", err, part)
+		}
+	}
+	// Worker goroutines may still be exiting after their last group.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the launch, %d before: lane coroutines leaked", n, before)
+	}
+}
+
+func TestLaunchAllocsIndependentOfGroupCount(t *testing.T) {
+	// A launch allocates per worker and lane (coroutines, LDS), never per
+	// work-item or per group.
+	d := testDev(t)
+	allocs := func(groups int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := d.Launch("barrier", func(wi *Item) {
+				for k := 0; k < 4; k++ {
+					wi.Barrier()
+				}
+			}, LaunchParams{Global: groups * 16, Local: 16, LDSFloats: 16}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(256)
+	if large > small {
+		t.Errorf("allocs per launch grew from %v at 16 groups to %v at 256", small, large)
+	}
+	if limit := float64(runtime.GOMAXPROCS(0) * 16 * 16); small > limit {
+		t.Errorf("%v allocs per launch, want at most %v (workers x lanes x 16)", small, limit)
 	}
 }
