@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/ic"
 	"repro/internal/pp"
+	"repro/internal/vec"
 )
 
 func newHD5850Context(t testing.TB) *cl.Context {
@@ -234,6 +237,128 @@ func TestPlansBitwiseGolden(t *testing.T) {
 		}
 		if prof.Schedule == nil || len(prof.Schedule.Spans) == 0 {
 			t.Errorf("%s n=%d: no executed schedule on the profile", g.plan, g.n)
+		}
+	}
+}
+
+// launchCostHash is FNV-1a 64 over every launch's per-group counters, in
+// launch and group order, each field as a little-endian int64.
+func launchCostHash(launches []*gpusim.Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range launches {
+		for _, c := range r.Groups {
+			for _, v := range [...]int64{c.WFMaxFlops, c.Flops, c.AuxFlops,
+				c.BytesCoalesced, c.BytesScattered, c.LDSBytes, c.Barriers} {
+				binary.LittleEndian.PutUint64(b[:], uint64(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// vecHash is FNV-1a 64 over the little-endian float32 bits of vs.
+func vecHash(vs ...[]vec.V3) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range vs {
+		for _, a := range v {
+			for _, f := range [3]float32{a.X, a.Y, a.Z} {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
+				h.Write(b[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestLaunchCostsGolden pins every launch's []GroupCost (barriers included)
+// and the outputs of each Go kernel, so a rewrite of a kernel or of the
+// executor must reproduce both the counted work of every lane and its
+// float32 arithmetic bit for bit. The values were captured from the
+// per-work-item kernels on ic.Plummer(n, 42): the force plans on an HD5850,
+// the jerk kernels on the test device with partial active sets.
+func TestLaunchCostsGolden(t *testing.T) {
+	golden := []struct {
+		name              string
+		n                 int
+		costHash, outHash uint64
+	}{
+		{"i-parallel", 1024, 0xdd6afd264d2b0565, 0x9359642c0928ef79},
+		{"j-parallel", 1024, 0xd8b04750180f1325, 0x39c4b3fa720a2b86},
+		{"w-parallel", 1024, 0x97b983a4368e24a5, 0x432d6bfae2a3b3dc},
+		{"jw-parallel", 1024, 0xe9e19908a9b9acc6, 0x09427c0c3ebf47a6},
+		{"i-parallel", 4096, 0x4372a97259596305, 0x3bdb5f34a7699f22},
+		{"j-parallel", 4096, 0x9e34d602cf562325, 0x3d5658b54c339595},
+		{"w-parallel", 4096, 0x79394afa57bd8e71, 0x6edb3666efc0bd26},
+		{"jw-parallel", 4096, 0x884c7c5a55664df8, 0xf5bf66af743cb74b},
+		{"jw-unstaged", 4096, 0x8048db59b5a2fcf0, 0xf5bf66af743cb74b},
+		{"multi-jw-x2", 4096, 0x6c7ef285af92235e, 0xf5bf66af743cb74b},
+		{"jerk-i", 512, 0x1e9addfe8ac41070, 0xcc512a1729896c9e},
+		{"jerk-j", 512, 0x43258cd92790ce35, 0xae8faeb425046c33},
+	}
+	run := func(name string, n int) (*RunProfile, uint64) {
+		sys := ic.Plummer(n, 42)
+		var plan Plan
+		switch name {
+		case "i-parallel":
+			plan = NewIParallel(newHD5850Context(t), pp.DefaultParams())
+		case "j-parallel":
+			plan = NewJParallel(newHD5850Context(t), pp.DefaultParams())
+		case "w-parallel":
+			plan = NewWParallel(newHD5850Context(t), bh.DefaultOptions())
+		case "jw-parallel":
+			plan = NewJWParallel(newHD5850Context(t), bh.DefaultOptions())
+		case "jw-unstaged":
+			jw := NewJWParallel(newHD5850Context(t), bh.DefaultOptions())
+			jw.DisableLDSStaging = true
+			plan = jw
+		case "multi-jw-x2":
+			plan = NewMultiJW(bh.DefaultOptions(), 2, gpusim.HD5850())
+		case "jerk-i", "jerk-j":
+			u := newJerkUnit(newTestContext(t), pp.Params{G: 1, Eps: 0.05})
+			var active []int
+			if name == "jerk-i" {
+				// Every other body: above the i-parallel threshold, and
+				// not a multiple of the group size.
+				for i := 0; i < n; i += 2 {
+					active = append(active, i)
+				}
+				active = append(active, n-1)
+			} else {
+				active = []int{0, 3, 17, 42, 100, 255, 256, n - 1}
+			}
+			if got, want := u.selectPlan(len(active)), name[len("jerk-"):]+"-parallel"; got != want {
+				t.Fatalf("%s: selectPlan(%d) = %q, want %q", name, len(active), got, want)
+			}
+			jerk := make([]vec.V3, n)
+			prof, err := u.eval(sys, active, jerk)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return prof, vecHash(sys.Acc, jerk)
+		default:
+			t.Fatalf("unknown case %q", name)
+		}
+		prof, err := plan.Accel(sys)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", name, n, err)
+		}
+		return prof, vecHash(sys.Acc)
+	}
+	for _, g := range golden {
+		prof, out := run(g.name, g.n)
+		if len(prof.Launches) == 0 {
+			t.Fatalf("%s n=%d: no launches on the profile", g.name, g.n)
+		}
+		if h := launchCostHash(prof.Launches); h != g.costHash {
+			t.Errorf("%s n=%d: launch cost hash %#016x, want %#016x (per-group counters changed)",
+				g.name, g.n, h, g.costHash)
+		}
+		if out != g.outHash {
+			t.Errorf("%s n=%d: output hash %#016x, want %#016x (kernel arithmetic changed)",
+				g.name, g.n, out, g.outHash)
 		}
 	}
 }
