@@ -20,6 +20,8 @@ var surfacePackages = []string{
 	"internal/core",
 	"internal/serve",
 	"internal/lint",
+	"internal/gpusim",
+	"internal/cl",
 }
 
 // TestAPISurfaceGolden locks the exported API of the public-facing packages.

@@ -205,9 +205,23 @@ func (q *Queue) EnqueueReadF32(b *gpusim.Buffer, dst []float32, deps ...*Event) 
 	return q.push("read "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil, deps), nil
 }
 
-// EnqueueNDRange launches a kernel and records a profiled kernel event.
+// EnqueueNDRange launches a per-item kernel and records a profiled kernel
+// event.
 func (q *Queue) EnqueueNDRange(name string, fn gpusim.KernelFunc, p gpusim.LaunchParams, deps ...*Event) (*Event, error) {
 	res, err := q.ctx.dev.Launch(name, fn, p)
+	return q.pushKernel(name, res, err, deps)
+}
+
+// EnqueueGroups launches a group-form kernel and records a profiled kernel
+// event, exactly as EnqueueNDRange does for a per-item kernel.
+func (q *Queue) EnqueueGroups(name string, fn gpusim.GroupFunc, p gpusim.LaunchParams, deps ...*Event) (*Event, error) {
+	res, err := q.ctx.dev.LaunchGroups(name, fn, p)
+	return q.pushKernel(name, res, err, deps)
+}
+
+// pushKernel records a finished launch as a kernel event, or passes its
+// error on.
+func (q *Queue) pushKernel(name string, res *gpusim.Result, err error, deps []*Event) (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -309,6 +323,11 @@ func WriteMergedTrace(w io.Writer, tr *obs.Tracer, cfg gpusim.DeviceConfig, resu
 		if len(ids) > 1 {
 			meta["trace_ids"] = ids
 		}
+	}
+	// A long-lived tracer keeps only its newest spans; say how many older
+	// ones the document lacks.
+	if n := tr.Dropped(); n > 0 {
+		meta["dropped_spans"] = n
 	}
 	return obs.WriteChromeTrace(w, meta, events)
 }

@@ -57,6 +57,30 @@ func TestWriteMergedTraceEmpty(t *testing.T) {
 	}
 }
 
+// TestWriteMergedTraceReportsDroppedSpans: a tracer that has dropped its
+// oldest spans says so in the document's metadata; a complete one does not.
+func TestWriteMergedTraceReportsDroppedSpans(t *testing.T) {
+	tr := obs.NewTracer()
+	write := func() map[string]any {
+		var buf bytes.Buffer
+		if err := WriteMergedTrace(&buf, tr, gpusim.TestDevice()); err != nil {
+			t.Fatal(err)
+		}
+		_, other := decodeTrace(t, buf.Bytes())
+		return other
+	}
+	tr.AddModelled("k", "kernel", "queue", 0, 1e-6, nil)
+	if other := write(); other["dropped_spans"] != nil {
+		t.Errorf("complete trace reports dropped_spans = %v", other["dropped_spans"])
+	}
+	for i := 0; i < obs.MaxSpans+2; i++ {
+		tr.AddModelled("k", "kernel", "queue", 0, 1e-6, nil)
+	}
+	if other := write(); other["dropped_spans"] != float64(3) {
+		t.Errorf("otherData dropped_spans = %v, want 3", other["dropped_spans"])
+	}
+}
+
 // TestWriteMergedTraceNilTracer: observers are optional everywhere else in
 // the stack (obs is nil-safe), so the trace writer must accept a nil tracer.
 func TestWriteMergedTraceNilTracer(t *testing.T) {

@@ -67,59 +67,71 @@ func (p *IParallel) ensureBuffers(n int) {
 }
 
 // kernel returns the i-parallel force kernel bound to the current buffers.
-func (p *IParallel) kernel() gpusim.KernelFunc {
+func (p *IParallel) kernel() gpusim.GroupFunc {
 	nPad := p.nPad
 	g := p.Params.G
 	eps2 := p.Params.Eps * p.Params.Eps
 	posm := p.bufPosM
 	out := p.bufAcc
-
-	return func(wi *gpusim.Item) {
-		i := wi.GlobalID()
-		l := wi.LocalID()
-		ls := wi.LocalSize()
-		src := wi.RawGlobalF32(posm)
-		dst := wi.RawGlobalF32(out)
-		lds := wi.RawLDS()
+	return func(grp *gpusim.Group) {
+		ls := grp.LocalSize()
+		base := grp.ID() * ls // body of lane 0
+		src := grp.Lane(0).RawGlobalF32(posm)
+		dst := grp.Lane(0).RawGlobalF32(out)
+		lds := grp.LDS()
+		// Per lane across barriers: position (0..2) and acceleration (3..5).
+		priv := grp.Private(6)
 
 		// Load own position (4 coalesced floats).
-		wi.ChargeGlobal(16, 0)
-		px, py, pz := src[4*i], src[4*i+1], src[4*i+2]
-		var ax, ay, az float32
-
+		for l := 0; l < ls; l++ {
+			i := base + l
+			grp.Lane(l).ChargeGlobal(16, 0)
+			priv[6*l+0], priv[6*l+1], priv[6*l+2] = src[4*i], src[4*i+1], src[4*i+2]
+		}
 		tiles := nPad / ls
 		for t := 0; t < tiles; t++ {
 			// Stage one source per lane into local memory.
-			j := t*ls + l
-			wi.ChargeGlobal(16, 0)
-			wi.ChargeLDS(16)
-			lds[4*l+0] = src[4*j+0]
-			lds[4*l+1] = src[4*j+1]
-			lds[4*l+2] = src[4*j+2]
-			lds[4*l+3] = src[4*j+3]
-			wi.Barrier()
-
+			for l := 0; l < ls; l++ {
+				j := t*ls + l
+				wi := grp.Lane(l)
+				wi.ChargeGlobal(16, 0)
+				wi.ChargeLDS(16)
+				lds[4*l+0] = src[4*j+0]
+				lds[4*l+1] = src[4*j+1]
+				lds[4*l+2] = src[4*j+2]
+				lds[4*l+3] = src[4*j+3]
+			}
+			grp.Barrier()
 			// Consume the tile: ls interactions per lane out of local
 			// memory. Charged in bulk; the arithmetic below is the same
 			// softened kernel as the CPU reference.
-			wi.ChargeLDS(16 * ls)
-			wi.Flops(pp.FlopsPerInteraction * ls)
-			wi.Aux(2 * ls) // loop control and LDS address arithmetic
-			for k := 0; k < ls; k++ {
-				a := pp.AccumulateInto(px, py, pz, lds[4*k], lds[4*k+1], lds[4*k+2], lds[4*k+3], eps2)
-				ax += a.X
-				ay += a.Y
-				az += a.Z
+			for l := 0; l < ls; l++ {
+				wi := grp.Lane(l)
+				wi.ChargeLDS(16 * ls)
+				wi.Flops(pp.FlopsPerInteraction * ls)
+				wi.Aux(2 * ls) // loop control and LDS address arithmetic
+				r := priv[6*l : 6*l+6]
+				px, py, pz := r[0], r[1], r[2]
+				ax, ay, az := r[3], r[4], r[5]
+				for k := 0; k < ls; k++ {
+					a := pp.AccumulateInto(px, py, pz, lds[4*k], lds[4*k+1], lds[4*k+2], lds[4*k+3], eps2)
+					ax += a.X
+					ay += a.Y
+					az += a.Z
+				}
+				r[3], r[4], r[5] = ax, ay, az
 			}
-			wi.Barrier()
+			grp.Barrier()
 		}
-
 		// Store the result (padding lanes write padding slots).
-		wi.ChargeGlobal(16, 0)
-		dst[4*i+0] = ax * g
-		dst[4*i+1] = ay * g
-		dst[4*i+2] = az * g
-		dst[4*i+3] = 0
+		for l := 0; l < ls; l++ {
+			i := base + l
+			grp.Lane(l).ChargeGlobal(16, 0)
+			dst[4*i+0] = priv[6*l+3] * g
+			dst[4*i+1] = priv[6*l+4] * g
+			dst[4*i+2] = priv[6*l+5] * g
+			dst[4*i+3] = 0
+		}
 	}
 }
 

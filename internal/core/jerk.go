@@ -117,54 +117,138 @@ func (u *jerkUnit) ensureBuffers(n, activeN int) {
 // hostActive[k]; the j-loop tiles all nPad sources through local memory,
 // 7 floats per lane (x,y,z,m,vx,vy,vz). Padding work-items recompute body
 // hostActive[0] into padding output slots, which the host never reads.
-func (u *jerkUnit) iKernel() gpusim.KernelFunc {
+func (u *jerkUnit) iKernel() gpusim.GroupFunc {
 	nPad := u.nPad
 	g := u.params.G
 	eps2 := u.params.Eps * u.params.Eps
 	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
 	accOut, jerkOut := u.bufAcc, u.bufJerk
 
-	return func(wi *gpusim.Item) {
-		k := wi.GlobalID()
-		l := wi.LocalID()
-		ls := wi.LocalSize()
-		ids := wi.RawGlobalI32(idx)
-		srcP := wi.RawGlobalF32(posm)
-		srcV := wi.RawGlobalF32(vel)
-		dstA := wi.RawGlobalF32(accOut)
-		dstJ := wi.RawGlobalF32(jerkOut)
-		lds := wi.RawLDS()
+	return func(grp *gpusim.Group) {
+		ls := grp.LocalSize()
+		base := grp.ID() * ls // active slot of lane 0
+		lane0 := grp.Lane(0)
+		ids := lane0.RawGlobalI32(idx)
+		srcP := lane0.RawGlobalF32(posm)
+		srcV := lane0.RawGlobalF32(vel)
+		dstA := lane0.RawGlobalF32(accOut)
+		dstJ := lane0.RawGlobalF32(jerkOut)
+		lds := grp.LDS()
+		// Per lane across barriers: position (0..2), velocity (3..5),
+		// acceleration (6..8) and jerk (9..11).
+		priv := grp.Private(12)
 
 		// Own index, position and velocity (coalesced across the group).
-		wi.ChargeGlobal(4+16+12, 0)
-		i := int(ids[k])
-		px, py, pz := srcP[4*i], srcP[4*i+1], srcP[4*i+2]
-		vx, vy, vz := srcV[4*i], srcV[4*i+1], srcV[4*i+2]
-		var ax, ay, az, jx, jy, jz float32
+		for l := 0; l < ls; l++ {
+			grp.Lane(l).ChargeGlobal(4+16+12, 0)
+			i := int(ids[base+l])
+			r := priv[12*l : 12*l+12]
+			r[0], r[1], r[2] = srcP[4*i], srcP[4*i+1], srcP[4*i+2]
+			r[3], r[4], r[5] = srcV[4*i], srcV[4*i+1], srcV[4*i+2]
+		}
 
 		tiles := nPad / ls
 		for t := 0; t < tiles; t++ {
 			// Stage one source (position+mass and velocity) per lane.
-			j := t*ls + l
-			wi.ChargeGlobal(16+12, 0)
-			wi.ChargeLDS(28)
-			lds[7*l+0] = srcP[4*j+0]
-			lds[7*l+1] = srcP[4*j+1]
-			lds[7*l+2] = srcP[4*j+2]
-			lds[7*l+3] = srcP[4*j+3]
-			lds[7*l+4] = srcV[4*j+0]
-			lds[7*l+5] = srcV[4*j+1]
-			lds[7*l+6] = srcV[4*j+2]
-			wi.Barrier()
+			for l := 0; l < ls; l++ {
+				j := t*ls + l
+				wi := grp.Lane(l)
+				wi.ChargeGlobal(16+12, 0)
+				wi.ChargeLDS(28)
+				lds[7*l+0] = srcP[4*j+0]
+				lds[7*l+1] = srcP[4*j+1]
+				lds[7*l+2] = srcP[4*j+2]
+				lds[7*l+3] = srcP[4*j+3]
+				lds[7*l+4] = srcV[4*j+0]
+				lds[7*l+5] = srcV[4*j+1]
+				lds[7*l+6] = srcV[4*j+2]
+			}
+			grp.Barrier()
 
-			wi.ChargeLDS(28 * ls)
-			wi.Flops(pp.FlopsPerJerkInteraction * ls)
-			wi.Aux(2 * ls)
-			for s := 0; s < ls; s++ {
+			for l := 0; l < ls; l++ {
+				wi := grp.Lane(l)
+				wi.ChargeLDS(28 * ls)
+				wi.Flops(pp.FlopsPerJerkInteraction * ls)
+				wi.Aux(2 * ls)
+				r := priv[12*l : 12*l+12]
+				px, py, pz, vx, vy, vz := r[0], r[1], r[2], r[3], r[4], r[5]
+				ax, ay, az, jx, jy, jz := r[6], r[7], r[8], r[9], r[10], r[11]
+				for s := 0; s < ls; s++ {
+					a, jk := pp.AccumulateJerkInto(px, py, pz, vx, vy, vz,
+						lds[7*s+0], lds[7*s+1], lds[7*s+2],
+						lds[7*s+4], lds[7*s+5], lds[7*s+6],
+						lds[7*s+3], eps2)
+					ax += a.X
+					ay += a.Y
+					az += a.Z
+					jx += jk.X
+					jy += jk.Y
+					jz += jk.Z
+				}
+				r[6], r[7], r[8], r[9], r[10], r[11] = ax, ay, az, jx, jy, jz
+			}
+			grp.Barrier()
+		}
+
+		for l := 0; l < ls; l++ {
+			k := base + l
+			grp.Lane(l).ChargeGlobal(32, 0)
+			r := priv[12*l : 12*l+12]
+			dstA[4*k+0] = r[6] * g
+			dstA[4*k+1] = r[7] * g
+			dstA[4*k+2] = r[8] * g
+			dstA[4*k+3] = 0
+			dstJ[4*k+0] = r[9] * g
+			dstJ[4*k+1] = r[10] * g
+			dstJ[4*k+2] = r[11] * g
+			dstJ[4*k+3] = 0
+		}
+	}
+}
+
+// jKernel is the j-parallel jerk kernel: one work-group per active body;
+// lanes split the sources and tree-reduce six partial sums (acceleration and
+// jerk) through local memory before lane 0 writes the result.
+func (u *jerkUnit) jKernel() gpusim.GroupFunc {
+	nPad := u.nPad
+	g := u.params.G
+	eps2 := u.params.Eps * u.params.Eps
+	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
+	accOut, jerkOut := u.bufAcc, u.bufJerk
+
+	return func(grp *gpusim.Group) {
+		k := grp.ID() // one work-group per active body
+		ls := grp.LocalSize()
+		lane0 := grp.Lane(0)
+		ids := lane0.RawGlobalI32(idx)
+		srcP := lane0.RawGlobalF32(posm)
+		srcV := lane0.RawGlobalF32(vel)
+		dstA := lane0.RawGlobalF32(accOut)
+		dstJ := lane0.RawGlobalF32(jerkOut)
+		lds := grp.LDS()
+
+		// All lanes read body k's index and state; the hardware broadcasts
+		// one transaction, charged to lane 0.
+		lane0.ChargeGlobal(4+16+12, 0)
+		i := int(ids[k])
+		px, py, pz := srcP[4*i], srcP[4*i+1], srcP[4*i+2]
+		vx, vy, vz := srcV[4*i], srcV[4*i+1], srcV[4*i+2]
+
+		// Each lane accumulates over its strided slice of the sources and
+		// leaves its six partial sums in local memory.
+		tiles := nPad / ls
+		for l := 0; l < ls; l++ {
+			wi := grp.Lane(l)
+			wi.ChargeGlobal((16+12)*tiles, 0)
+			wi.Flops(pp.FlopsPerJerkInteraction * tiles)
+			wi.Aux(2 * tiles)
+			var ax, ay, az, jx, jy, jz float32
+			for t := 0; t < tiles; t++ {
+				j := t*ls + l
 				a, jk := pp.AccumulateJerkInto(px, py, pz, vx, vy, vz,
-					lds[7*s+0], lds[7*s+1], lds[7*s+2],
-					lds[7*s+4], lds[7*s+5], lds[7*s+6],
-					lds[7*s+3], eps2)
+					srcP[4*j+0], srcP[4*j+1], srcP[4*j+2],
+					srcV[4*j+0], srcV[4*j+1], srcV[4*j+2],
+					srcP[4*j+3], eps2)
 				ax += a.X
 				ay += a.Y
 				az += a.Z
@@ -172,101 +256,36 @@ func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 				jy += jk.Y
 				jz += jk.Z
 			}
-			wi.Barrier()
+			wi.ChargeLDS(24)
+			lds[6*l+0] = ax
+			lds[6*l+1] = ay
+			lds[6*l+2] = az
+			lds[6*l+3] = jx
+			lds[6*l+4] = jy
+			lds[6*l+5] = jz
 		}
-
-		wi.ChargeGlobal(32, 0)
-		dstA[4*k+0] = ax * g
-		dstA[4*k+1] = ay * g
-		dstA[4*k+2] = az * g
-		dstA[4*k+3] = 0
-		dstJ[4*k+0] = jx * g
-		dstJ[4*k+1] = jy * g
-		dstJ[4*k+2] = jz * g
-		dstJ[4*k+3] = 0
-	}
-}
-
-// jKernel is the j-parallel jerk kernel: one work-group per active body;
-// lanes split the sources and tree-reduce six partial sums (acceleration and
-// jerk) through local memory before lane 0 writes the result.
-func (u *jerkUnit) jKernel() gpusim.KernelFunc {
-	nPad := u.nPad
-	g := u.params.G
-	eps2 := u.params.Eps * u.params.Eps
-	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
-	accOut, jerkOut := u.bufAcc, u.bufJerk
-
-	return func(wi *gpusim.Item) {
-		k := wi.GroupID() // one work-group per active body
-		l := wi.LocalID()
-		ls := wi.LocalSize()
-		ids := wi.RawGlobalI32(idx)
-		srcP := wi.RawGlobalF32(posm)
-		srcV := wi.RawGlobalF32(vel)
-		dstA := wi.RawGlobalF32(accOut)
-		dstJ := wi.RawGlobalF32(jerkOut)
-		lds := wi.RawLDS()
-
-		// All lanes read body k's index and state; the hardware broadcasts
-		// one transaction, charged to lane 0.
-		if l == 0 {
-			wi.ChargeGlobal(4+16+12, 0)
-		}
-		i := int(ids[k])
-		px, py, pz := srcP[4*i], srcP[4*i+1], srcP[4*i+2]
-		vx, vy, vz := srcV[4*i], srcV[4*i+1], srcV[4*i+2]
-
-		// Each lane accumulates over its strided slice of the sources.
-		var ax, ay, az, jx, jy, jz float32
-		tiles := nPad / ls
-		wi.ChargeGlobal((16+12)*tiles, 0)
-		wi.Flops(pp.FlopsPerJerkInteraction * tiles)
-		wi.Aux(2 * tiles)
-		for t := 0; t < tiles; t++ {
-			j := t*ls + l
-			a, jk := pp.AccumulateJerkInto(px, py, pz, vx, vy, vz,
-				srcP[4*j+0], srcP[4*j+1], srcP[4*j+2],
-				srcV[4*j+0], srcV[4*j+1], srcV[4*j+2],
-				srcP[4*j+3], eps2)
-			ax += a.X
-			ay += a.Y
-			az += a.Z
-			jx += jk.X
-			jy += jk.Y
-			jz += jk.Z
-		}
-
+		grp.Barrier()
 		// Tree reduction of the six partial sums through local memory.
-		wi.ChargeLDS(24)
-		lds[6*l+0] = ax
-		lds[6*l+1] = ay
-		lds[6*l+2] = az
-		lds[6*l+3] = jx
-		lds[6*l+4] = jy
-		lds[6*l+5] = jz
-		wi.Barrier()
 		for stride := ls / 2; stride > 0; stride /= 2 {
-			if l < stride {
+			for l := 0; l < stride; l++ {
+				wi := grp.Lane(l)
 				wi.ChargeLDS(72) // read partner (24) + read own (24) + write (24)
 				wi.Aux(6)
 				for c := 0; c < 6; c++ {
 					lds[6*l+c] += lds[6*(l+stride)+c]
 				}
 			}
-			wi.Barrier()
+			grp.Barrier()
 		}
-		if l == 0 {
-			wi.ChargeGlobal(32, 0)
-			dstA[4*k+0] = lds[0] * g
-			dstA[4*k+1] = lds[1] * g
-			dstA[4*k+2] = lds[2] * g
-			dstA[4*k+3] = 0
-			dstJ[4*k+0] = lds[3] * g
-			dstJ[4*k+1] = lds[4] * g
-			dstJ[4*k+2] = lds[5] * g
-			dstJ[4*k+3] = 0
-		}
+		grp.Lane(0).ChargeGlobal(32, 0)
+		dstA[4*k+0] = lds[0] * g
+		dstA[4*k+1] = lds[1] * g
+		dstA[4*k+2] = lds[2] * g
+		dstA[4*k+3] = 0
+		dstJ[4*k+0] = lds[3] * g
+		dstJ[4*k+1] = lds[4] * g
+		dstJ[4*k+2] = lds[5] * g
+		dstJ[4*k+3] = 0
 	}
 }
 
@@ -274,7 +293,7 @@ func (u *jerkUnit) jKernel() gpusim.KernelFunc {
 // padded sources (positions+masses, velocities) and the active index list,
 // launch the jerk kernel, download accelerations and jerks.
 func (u *jerkUnit) graph(plan string, activeN int) *pipeline.Graph {
-	var kernel gpusim.KernelFunc
+	var kernel gpusim.GroupFunc
 	var lp gpusim.LaunchParams
 	switch plan {
 	case "i-parallel":

@@ -70,66 +70,65 @@ func (p *JParallel) ensureBuffers(n int) {
 }
 
 // kernel returns the j-parallel force kernel bound to the current buffers.
-func (p *JParallel) kernel() gpusim.KernelFunc {
+func (p *JParallel) kernel() gpusim.GroupFunc {
 	nPadJ := p.nPadJ
 	g := p.Params.G
 	eps2 := p.Params.Eps * p.Params.Eps
 	posm := p.bufPosM
 	out := p.bufAcc
-
-	return func(wi *gpusim.Item) {
-		i := wi.GroupID() // one work-group per body
-		l := wi.LocalID()
-		ls := wi.LocalSize()
-		src := wi.RawGlobalF32(posm)
-		dst := wi.RawGlobalF32(out)
-		lds := wi.RawLDS()
+	return func(grp *gpusim.Group) {
+		i := grp.ID() // one work-group per body
+		ls := grp.LocalSize()
+		lane0 := grp.Lane(0)
+		src := lane0.RawGlobalF32(posm)
+		dst := lane0.RawGlobalF32(out)
+		lds := grp.LDS()
 
 		// All lanes read body i; the hardware broadcasts one transaction,
 		// charged to lane 0.
-		if l == 0 {
-			wi.ChargeGlobal(16, 0)
-		}
+		lane0.ChargeGlobal(16, 0)
 		px, py, pz := src[4*i], src[4*i+1], src[4*i+2]
 
 		// Each lane accumulates over its strided slice of the sources;
-		// lane l reads j = t*p + l, coalesced across the wavefront.
-		var ax, ay, az float32
+		// lane l reads j = t*p + l, coalesced across the wavefront. The
+		// partial sums go to local memory for the reduction.
 		tiles := nPadJ / ls
-		wi.ChargeGlobal(16*tiles, 0)
-		wi.Flops(pp.FlopsPerInteraction * tiles)
-		wi.Aux(2 * tiles)
-		for t := 0; t < tiles; t++ {
-			j := t*ls + l
-			a := pp.AccumulateInto(px, py, pz, src[4*j], src[4*j+1], src[4*j+2], src[4*j+3], eps2)
-			ax += a.X
-			ay += a.Y
-			az += a.Z
+		for l := 0; l < ls; l++ {
+			wi := grp.Lane(l)
+			wi.ChargeGlobal(16*tiles, 0)
+			wi.Flops(pp.FlopsPerInteraction * tiles)
+			wi.Aux(2 * tiles)
+			var ax, ay, az float32
+			for t := 0; t < tiles; t++ {
+				j := t*ls + l
+				a := pp.AccumulateInto(px, py, pz, src[4*j], src[4*j+1], src[4*j+2], src[4*j+3], eps2)
+				ax += a.X
+				ay += a.Y
+				az += a.Z
+			}
+			wi.ChargeLDS(12)
+			lds[3*l+0] = ax
+			lds[3*l+1] = ay
+			lds[3*l+2] = az
 		}
-
+		grp.Barrier()
 		// Tree reduction of the p partial sums through local memory.
-		wi.ChargeLDS(12)
-		lds[3*l+0] = ax
-		lds[3*l+1] = ay
-		lds[3*l+2] = az
-		wi.Barrier()
 		for stride := ls / 2; stride > 0; stride /= 2 {
-			if l < stride {
+			for l := 0; l < stride; l++ {
+				wi := grp.Lane(l)
 				wi.ChargeLDS(36) // read partner (12) + read own (12) + write (12)
 				wi.Aux(3)
 				lds[3*l+0] += lds[3*(l+stride)+0]
 				lds[3*l+1] += lds[3*(l+stride)+1]
 				lds[3*l+2] += lds[3*(l+stride)+2]
 			}
-			wi.Barrier()
+			grp.Barrier()
 		}
-		if l == 0 {
-			wi.ChargeGlobal(16, 0)
-			dst[4*i+0] = lds[0] * g
-			dst[4*i+1] = lds[1] * g
-			dst[4*i+2] = lds[2] * g
-			dst[4*i+3] = 0
-		}
+		grp.Lane(0).ChargeGlobal(16, 0)
+		dst[4*i+0] = lds[0] * g
+		dst[4*i+1] = lds[1] * g
+		dst[4*i+2] = lds[2] * g
+		dst[4*i+3] = 0
 	}
 }
 

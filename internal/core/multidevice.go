@@ -268,7 +268,7 @@ func (p *MultiJW) Accel(s *body.System) (*RunProfile, error) {
 		}
 
 		kernel := jwKernel(ds.bufs, p.Opt.G, p.Opt.Eps*p.Opt.Eps, true)
-		ev, err := q.EnqueueNDRange(fmt.Sprintf("multijw.force.dev%d", k), kernel, gpusim.LaunchParams{
+		ev, err := q.EnqueueGroups(fmt.Sprintf("multijw.force.dev%d", k), kernel, gpusim.LaunchParams{
 			Global:    numQueues * p.LocalSize,
 			Local:     p.LocalSize,
 			LDSFloats: 4 * p.LocalSize,

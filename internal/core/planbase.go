@@ -108,10 +108,10 @@ func stageUploadI32(stage string, buf *gpusim.Buffer, src []int32, deps ...strin
 }
 
 // stageKernel launches a force (or reduction) kernel.
-func stageKernel(stage, kernel string, fn gpusim.KernelFunc, lp gpusim.LaunchParams, deps ...string) pipeline.Stage {
+func stageKernel(stage, kernel string, fn gpusim.GroupFunc, lp gpusim.LaunchParams, deps ...string) pipeline.Stage {
 	return pipeline.Stage{Name: stage, Kind: pipeline.Kernel, Deps: deps,
 		Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-			return ec.Queue.EnqueueNDRange(kernel, fn, lp, ec.Deps...)
+			return ec.Queue.EnqueueGroups(kernel, fn, lp, ec.Deps...)
 		}}
 }
 

@@ -82,55 +82,54 @@ func (p *WParallel) SetObs(o *obs.Obs) {
 func (p *WParallel) SetHostWorkers(n int) { p.HostWorkers = n }
 
 // kernel returns the w-parallel force kernel bound to the current buffers.
-func (p *WParallel) kernel() gpusim.KernelFunc {
+func (p *WParallel) kernel() gpusim.GroupFunc {
 	g := p.Opt.G
 	eps2 := p.Opt.Eps * p.Opt.Eps
 	bufSrc, bufPos, bufLists, bufDesc, bufAcc := p.bufSrc, p.bufPos, p.bufLists, p.bufDesc, p.bufAcc
+	return func(grp *gpusim.Group) {
+		w := grp.ID() // one work-group per walk
+		lane0 := grp.Lane(0)
+		desc := lane0.RawGlobalI32(bufDesc)
+		lists := lane0.RawGlobalI32(bufLists)
+		src := lane0.RawGlobalF32(bufSrc)
+		posm := lane0.RawGlobalF32(bufPos)
+		acc := lane0.RawGlobalF32(bufAcc)
 
-	return func(wi *gpusim.Item) {
-		w := wi.GroupID() // one work-group per walk
-		l := wi.LocalID()
-		desc := wi.RawGlobalI32(bufDesc)
-		lists := wi.RawGlobalI32(bufLists)
-		src := wi.RawGlobalF32(bufSrc)
-		posm := wi.RawGlobalF32(bufPos)
-		acc := wi.RawGlobalF32(bufAcc)
-
-		if l == 0 {
-			wi.ChargeGlobal(16, 0) // descriptor broadcast
-		}
+		lane0.ChargeGlobal(16, 0) // descriptor broadcast
 		first := int(desc[w*bhDescStride+0])
 		count := int(desc[w*bhDescStride+1])
 		base := int(desc[w*bhDescStride+2])
 		llen := int(desc[w*bhDescStride+3])
 
-		if l >= count {
-			return // idle lane: the walk has fewer bodies than the group
-		}
-		slot := first + l
-		wi.ChargeGlobal(16, 0)
-		px, py, pz := posm[4*slot], posm[4*slot+1], posm[4*slot+2]
+		// Lanes at or beyond count idle: the walk has fewer bodies than the
+		// group.
+		for l := 0; l < min(count, grp.LocalSize()); l++ {
+			wi := grp.Lane(l)
+			slot := first + l
+			wi.ChargeGlobal(16, 0)
+			px, py, pz := posm[4*slot], posm[4*slot+1], posm[4*slot+2]
 
-		// Per-lane streaming of the shared list: each lane pays for the
-		// entry index (4B) and the source float4 (16B) itself.
-		wi.ChargeGlobal(20*llen, 0)
-		wi.Flops(pp.FlopsPerInteraction * llen)
-		wi.Aux(3 * llen)
-		var ax, ay, az float32
-		for e := 0; e < llen; e++ {
-			idx := lists[base+e]
-			a := pp.AccumulateInto(px, py, pz,
-				src[4*idx], src[4*idx+1], src[4*idx+2], src[4*idx+3], eps2)
-			ax += a.X
-			ay += a.Y
-			az += a.Z
-		}
+			// Per-lane streaming of the shared list: each lane pays for the
+			// entry index (4B) and the source float4 (16B) itself.
+			wi.ChargeGlobal(20*llen, 0)
+			wi.Flops(pp.FlopsPerInteraction * llen)
+			wi.Aux(3 * llen)
+			var ax, ay, az float32
+			for e := 0; e < llen; e++ {
+				idx := lists[base+e]
+				a := pp.AccumulateInto(px, py, pz,
+					src[4*idx], src[4*idx+1], src[4*idx+2], src[4*idx+3], eps2)
+				ax += a.X
+				ay += a.Y
+				az += a.Z
+			}
 
-		wi.ChargeGlobal(16, 0)
-		acc[4*slot+0] = ax * g
-		acc[4*slot+1] = ay * g
-		acc[4*slot+2] = az * g
-		acc[4*slot+3] = 0
+			wi.ChargeGlobal(16, 0)
+			acc[4*slot+0] = ax * g
+			acc[4*slot+1] = ay * g
+			acc[4*slot+2] = az * g
+			acc[4*slot+3] = 0
+		}
 	}
 }
 

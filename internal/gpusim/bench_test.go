@@ -18,6 +18,17 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 			}
 		})
 	}
+	for _, groups := range []int{16, 256} {
+		b.Run(fmt.Sprintf("group-form/groups=%d", groups), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := d.LaunchGroups("noop", func(g *Group) {}, LaunchParams{
+					Global: groups * 64, Local: 64,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkBarrier(b *testing.B) {
@@ -28,6 +39,19 @@ func BenchmarkBarrier(b *testing.B) {
 				if _, err := d.Launch("barrier", func(wi *Item) {
 					for k := 0; k < 16; k++ {
 						wi.Barrier()
+					}
+				}, LaunchParams{Global: 4 * local, Local: local}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, local := range []int{64, 256} {
+		b.Run(fmt.Sprintf("group-form/local=%d", local), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := d.LaunchGroups("barrier", func(g *Group) {
+					for k := 0; k < 16; k++ {
+						g.Barrier()
 					}
 				}, LaunchParams{Global: 4 * local, Local: local}); err != nil {
 					b.Fatal(err)

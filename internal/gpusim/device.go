@@ -3,11 +3,17 @@
 //
 // The simulator has two halves that share one execution:
 //
-//   - A functional half: kernels are ordinary Go functions invoked once per
-//     work-item, with real work-group barriers (the work-items of a group
-//     are coroutines that one worker goroutine steps in ascending local id
-//     from barrier to barrier) and real local memory, so a kernel's
-//     numerical output can be validated against the CPU reference.
+//   - A functional half: kernels are ordinary Go functions with real
+//     work-group barriers and real local memory, so a kernel's numerical
+//     output can be validated against the CPU reference. A kernel comes in
+//     one of two forms, run by the same workers and folded into the same
+//     counters. A GroupFunc (LaunchGroups) is called once per work-group
+//     and loops over its lanes in ascending local id between Group.Barrier
+//     calls; every Go kernel is written this way. A KernelFunc (Launch) is
+//     called once per work-item; the worker steps the group's work-items as
+//     coroutines in ascending local id from barrier to barrier. It serves
+//     kernels that cannot be written per group, such as the OpenCL C
+//     interpreter's.
 //
 //   - An analytic half: every global-memory access, local-memory access and
 //     ALU operation a kernel performs is charged to per-work-item counters,

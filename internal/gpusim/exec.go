@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// KernelFunc is the body of a kernel, invoked once per work-item. Kernels
-// are Go closures over their argument buffers and scalars; all device-memory
-// traffic and arithmetic must go through the Item accessors so the cost
-// model sees it.
+// KernelFunc is the body of a kernel in per-item form, invoked once per
+// work-item (see Device.Launch). Kernels are Go closures over their argument
+// buffers and scalars; all device-memory traffic and arithmetic must go
+// through the Item accessors so the cost model sees it.
 type KernelFunc func(wi *Item)
 
 // LaunchParams describes a 1-D NDRange launch.
@@ -23,14 +23,16 @@ type LaunchParams struct {
 	LDSFloats int
 }
 
-// Item is the per-work-item execution context handed to a KernelFunc.
+// Item is the per-work-item execution context: the argument of a
+// KernelFunc, and what Group.Lane returns for one lane of a GroupFunc.
 type Item struct {
-	g      *groupCtx
+	g      *Group
 	global int
 	local  int
 	ln     laneCounters
 	// yield suspends the lane's coroutine (returned is false at a barrier)
-	// and reports false once the worker has stopped the lane.
+	// and reports false once the worker has stopped the lane. It is nil in
+	// a group-form launch, whose lanes are not coroutines.
 	yield func(returned bool) bool
 }
 
@@ -74,8 +76,12 @@ func (wi *Item) Aux(n int) { wi.ln.auxFlops += int64(n) }
 // It suspends the lane until every other live lane of the group has reached
 // a barrier or returned. Work-items that have already returned do not
 // participate (the executor retires them), so uniform-exit kernels cannot
-// deadlock.
+// deadlock. It exists only in per-item form: a GroupFunc calls
+// Group.Barrier instead.
 func (wi *Item) Barrier() {
+	if wi.yield == nil {
+		panic("gpusim: Item.Barrier in a group-form kernel; use Group.Barrier")
+	}
 	if !wi.yield(false) {
 		panic(errLaneStopped)
 	}
@@ -198,16 +204,6 @@ func (wi *Item) ChargeGlobal(coalescedBytes, scatteredBytes int) {
 
 // ChargeLDS charges local-memory bytes in bulk.
 func (wi *Item) ChargeLDS(bytes int) { wi.ln.ldsBytes += int64(bytes) }
-
-// groupCtx is the shared state of one executing work-group. A worker owns
-// one and reuses it for every group it runs.
-type groupCtx struct {
-	id         int
-	local      int
-	globalSize int
-	numGroups  int
-	lds        []float32
-}
 
 // GroupCost aggregates the counted work of one work-group, the input to the
 // cost model.

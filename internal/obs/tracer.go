@@ -41,12 +41,21 @@ type SpanRecord struct {
 	ParentID string
 }
 
+// MaxSpans is how many finished spans a Tracer keeps: a long-running
+// process (nbodyd) records spans for as long as it serves, so the tracer
+// keeps the newest MaxSpans and counts the older ones it drops.
+const MaxSpans = 1 << 16
+
 // Tracer collects spans. It is safe for concurrent use; a nil *Tracer is a
 // no-op, so instrumentation costs a nil check when tracing is disabled.
 type Tracer struct {
 	mu    sync.Mutex
 	epoch time.Time
-	spans []SpanRecord
+	// spans is a ring of the newest MaxSpans finished spans; once it is
+	// full, next is the slot of the oldest, overwritten by the next add.
+	spans   []SpanRecord
+	next    int
+	dropped int64
 }
 
 // NewTracer returns a tracer whose wall-clock epoch is now.
@@ -178,27 +187,53 @@ func (t *Tracer) AddModelled(name, category, track string, startSec, durSec floa
 
 func (t *Tracer) add(rec SpanRecord) {
 	t.mu.Lock()
-	t.spans = append(t.spans, rec)
+	if len(t.spans) < MaxSpans {
+		t.spans = append(t.spans, rec)
+	} else {
+		t.spans[t.next] = rec
+		t.next = (t.next + 1) % MaxSpans
+		t.dropped++
+	}
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of all finished spans in recording order.
+// Spans returns a copy of the kept finished spans (the newest MaxSpans) in
+// recording order.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
+	if len(t.spans) == 0 {
+		return nil
+	}
+	out := make([]SpanRecord, 0, len(t.spans))
+	out = append(out, t.spans[t.next:]...)
+	return append(out, t.spans[:t.next]...)
 }
 
-// Reset drops all recorded spans and restarts the wall-clock epoch.
+// Dropped returns how many finished spans the tracer has dropped, oldest
+// first, to keep at most MaxSpans.
+func (t *Tracer) Dropped() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
+}
+
+// Reset drops all recorded spans, zeroes the dropped count and restarts the
+// wall-clock epoch.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.spans = nil
+	t.next = 0
+	t.dropped = 0
 	t.epoch = time.Now()
 	t.mu.Unlock()
 }

@@ -152,3 +152,36 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("got %d spans, want %d", got, 8*400)
 	}
 }
+
+func TestTracerKeepsNewestSpans(t *testing.T) {
+	tr := NewTracer()
+	const extra = 10
+	for i := 0; i < MaxSpans+extra; i++ {
+		tr.AddModelled("k", "kernel", "queue", float64(i), 1, nil)
+		if i == MaxSpans-1 && tr.Dropped() != 0 {
+			t.Fatalf("dropped %d spans before the ring was full", tr.Dropped())
+		}
+	}
+	spans := tr.Spans()
+	if len(spans) != MaxSpans {
+		t.Fatalf("kept %d spans, want %d", len(spans), MaxSpans)
+	}
+	// The oldest extra spans are gone; the rest are in recording order.
+	for i, sp := range spans {
+		if want := float64(i+extra) * 1e6; sp.StartUS != want {
+			t.Fatalf("span %d starts at %g, want %g", i, sp.StartUS, want)
+		}
+	}
+	if got := tr.Dropped(); got != extra {
+		t.Fatalf("Dropped() = %d, want %d", got, extra)
+	}
+
+	tr.Reset()
+	if tr.Dropped() != 0 || tr.Spans() != nil {
+		t.Fatal("Reset kept spans or the dropped count")
+	}
+	tr.AddModelled("k", "kernel", "queue", 0, 1e-6, nil)
+	if len(tr.Spans()) != 1 {
+		t.Fatalf("after Reset: %d spans, want 1", len(tr.Spans()))
+	}
+}
