@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/bh"
@@ -13,7 +12,7 @@ import (
 
 func TestEngineAccumulates(t *testing.T) {
 	ctx := newHD5850Context(t)
-	eng := NewEngine(NewJWParallel(ctx, bh.DefaultOptions()))
+	eng := NewEngine(newJWParallel(ctx, bh.DefaultOptions()))
 	sys := ic.Plummer(512, 1)
 
 	if eng.Name() != "jw-parallel" {
@@ -45,50 +44,13 @@ func TestEngineAccumulates(t *testing.T) {
 	}
 }
 
-func TestJWSmallNFallback(t *testing.T) {
-	ctx := newHD5850Context(t)
-	plan := NewJWParallel(ctx, bh.DefaultOptions())
-	plan.SmallNCutoff = 1024
-
-	// Below the cutoff: the j-parallel kernel computes the exact direct sum.
-	small := ic.Plummer(300, 5)
-	ref := small.Clone()
-	pp.Scalar(ref, pp.Params{G: plan.Opt.G, Eps: plan.Opt.Eps})
-	prof, err := plan.Accel(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prof.Plan, "fallback") {
-		t.Errorf("plan label %q does not mark the fallback", prof.Plan)
-	}
-	if prof.Interactions < 300*300 {
-		t.Errorf("fallback interactions %d below N^2", prof.Interactions)
-	}
-	if e := pp.MaxRelError(ref.Acc, small.Acc, 1e-3); e > 2e-4 {
-		t.Errorf("fallback accuracy: %g", e)
-	}
-
-	// Above the cutoff: the treecode pipeline runs (sub-quadratic work).
-	large := ic.Plummer(4096, 5)
-	prof, err = plan.Accel(large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(prof.Plan, "fallback") {
-		t.Error("fallback used above the cutoff")
-	}
-	if prof.Interactions >= 4096*4096 {
-		t.Errorf("treecode interactions %d not sub-quadratic", prof.Interactions)
-	}
-}
-
 func TestWParallelExactVsWalkEval(t *testing.T) {
 	opt := bh.DefaultOptions()
 	n := 2048
 	sys := ic.Plummer(n, 77)
 
 	ctx := newHD5850Context(t)
-	plan := NewWParallel(ctx, opt)
+	plan := newWParallel(ctx, opt)
 	gpu := sys.Clone()
 	if _, err := plan.Accel(gpu); err != nil {
 		t.Fatalf("w Accel: %v", err)
@@ -115,7 +77,7 @@ func TestWParallelExactVsWalkEval(t *testing.T) {
 // the same N (no unbounded allocation growth in a stepping loop).
 func TestPlanBufferReuse(t *testing.T) {
 	ctx := newHD5850Context(t)
-	plan := NewIParallel(ctx, pp.DefaultParams())
+	plan := newIParallel(ctx, pp.DefaultParams())
 	sys := ic.Plummer(256, 1)
 	if _, err := plan.Accel(sys); err != nil {
 		t.Fatal(err)
@@ -130,7 +92,7 @@ func TestPlanBufferReuse(t *testing.T) {
 		t.Errorf("i-parallel grew allocations: %d -> %d", before, after)
 	}
 
-	jw := NewJWParallel(ctx, bh.DefaultOptions())
+	jw := newJWParallel(ctx, bh.DefaultOptions())
 	if _, err := jw.Accel(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +118,7 @@ func TestStagingAblationDirection(t *testing.T) {
 	var kernel [2]float64
 	for i, disable := range []bool{false, true} {
 		ctx := newHD5850Context(t)
-		plan := NewJWParallel(ctx, bh.DefaultOptions())
+		plan := newJWParallel(ctx, bh.DefaultOptions())
 		plan.DisableLDSStaging = disable
 		prof, err := plan.Accel(sys.Clone())
 		if err != nil {
@@ -178,7 +140,7 @@ func TestQueueBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = 16
-	queueWalks, queueDesc := d.balanceQueues(q)
+	queueWalks, queueDesc := queueTables(d.lpt(d.walkIDs(), q))
 	if len(queueDesc) != 2*q {
 		t.Fatalf("queueDesc length %d", len(queueDesc))
 	}
@@ -227,7 +189,7 @@ func TestEngineDualAccounting(t *testing.T) {
 	const evals = 6
 
 	run := func(mode pipeline.Mode) *Engine {
-		eng := NewEngine(NewJWParallel(newHD5850Context(t), bh.DefaultOptions()))
+		eng := NewEngine(newJWParallel(newHD5850Context(t), bh.DefaultOptions()))
 		eng.Mode = mode
 		for i := 0; i < evals; i++ {
 			if _, err := eng.Accel(sys); err != nil {
@@ -276,7 +238,7 @@ func TestEngineDualAccounting(t *testing.T) {
 // overlapped), bounded by the span cap.
 func TestEngineScheduleRetention(t *testing.T) {
 	sys := ic.Plummer(1024, 2)
-	eng := NewEngine(NewIParallel(newHD5850Context(t), pp.DefaultParams()))
+	eng := NewEngine(newIParallel(newHD5850Context(t), pp.DefaultParams()))
 
 	// Retention off by default: nothing retained.
 	if _, err := eng.Accel(sys); err != nil {
@@ -343,7 +305,7 @@ func TestEngineScheduleRetention(t *testing.T) {
 // re-pays the fill; windows compose to the full executed timeline.
 func TestEngineBatchWindows(t *testing.T) {
 	sys := ic.Plummer(2048, 4)
-	eng := NewEngine(NewJWParallel(newHD5850Context(t), bh.DefaultOptions()))
+	eng := NewEngine(newJWParallel(newHD5850Context(t), bh.DefaultOptions()))
 	eng.Mode = pipeline.Overlap
 
 	var windows float64

@@ -33,13 +33,8 @@ type IParallel struct {
 	hostOut []float32
 }
 
-// NewIParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("i-parallel"), which carries device, tuning, telemetry and kernel-check
-// configuration in one option list. This constructor remains as a thin
-// wrapper for existing callers.
-func NewIParallel(ctx *cl.Context, params pp.Params) *IParallel {
+// newIParallel creates the plan on the given context with its defaults.
+func newIParallel(ctx *cl.Context, params pp.Params) *IParallel {
 	return &IParallel{Params: params, GroupSize: 256, planBase: newPlanBase(ctx)}
 }
 

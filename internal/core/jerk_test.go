@@ -111,7 +111,7 @@ func TestJerkUnitJParallelMatchesScalar(t *testing.T) {
 // plans mid-run — the observable the bench harness and dashboards key on.
 func TestEngineAccelJerkSwitchesPlans(t *testing.T) {
 	ctx := newTestContext(t)
-	eng := NewEngine(NewIParallel(ctx, pp.Params{G: 1, Eps: 0.05}))
+	eng := NewEngine(newIParallel(ctx, pp.Params{G: 1, Eps: 0.05}))
 	o := obs.New()
 	eng.SetObs(o)
 	if !eng.SupportsJerk() {
@@ -166,7 +166,7 @@ func TestEngineAccelJerkSwitchesPlans(t *testing.T) {
 // have no exact jerk, so the engine must refuse the path.
 func TestEngineSupportsJerkOnlyPP(t *testing.T) {
 	ctx := newTestContext(t)
-	bhEng := NewEngine(NewJWParallel(ctx, bh.DefaultOptions()))
+	bhEng := NewEngine(newJWParallel(ctx, bh.DefaultOptions()))
 	if bhEng.SupportsJerk() {
 		t.Error("BH engine claims jerk support")
 	}
@@ -176,7 +176,7 @@ func TestEngineSupportsJerkOnlyPP(t *testing.T) {
 		t.Error("AccelJerk on BH plan succeeded")
 	}
 
-	ppEng := NewEngine(NewJParallel(ctx, pp.DefaultParams()))
+	ppEng := NewEngine(newJParallel(ctx, pp.DefaultParams()))
 	if !ppEng.SupportsJerk() {
 		t.Error("j-parallel engine denies jerk support")
 	}

@@ -38,11 +38,8 @@ type JParallel struct {
 	hostOut  []float32
 }
 
-// NewJParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("j-parallel"); see NewIParallel.
-func NewJParallel(ctx *cl.Context, params pp.Params) *JParallel {
+// newJParallel creates the plan on the given context with its defaults.
+func newJParallel(ctx *cl.Context, params pp.Params) *JParallel {
 	return &JParallel{Params: params, GroupSize: 64, planBase: newPlanBase(ctx)}
 }
 

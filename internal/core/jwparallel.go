@@ -9,7 +9,6 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/pp"
 )
 
 // JWParallel is the paper's plan: the jw-parallel mapping derived from the
@@ -32,14 +31,26 @@ import (
 // Per the paper's Section 4.3, with a single walk covering all bodies the
 // plan degenerates to the PP j-parallel scheme, which is why the paper names
 // it jw-parallel.
+//
+// Build it with NewPlanByName("jw-parallel") or, for K devices,
+// NewPlanByName("jw-parallel-xK").
 type JWParallel struct {
 	Opt bh.Options
+	// Devices is the number of simulated GPUs K (default 1). With K >= 2
+	// the host half still runs once (one tree, one set of walks); the walks
+	// are sharded across the devices by the same longest-processing-time
+	// heuristic that balances a device's queues, every device receives the
+	// full source data (any walk may reach any cell) and drains its own
+	// shard, and the host merges the disjoint results — the GraCCA-style
+	// scale-out of this mapping. Device 0 is the plan's own context; devices
+	// 1..K-1 get contexts of the same DeviceConfig on first use.
+	Devices int
 	// GroupCap is the maximum bodies per walk (default 24; the jw group-size
 	// ablation sweeps it).
 	GroupCap int
 	// LocalSize is the work-group size (default 64).
 	LocalSize int
-	// QueueTarget is the number of work-groups (walk queues) to create; 0
+	// QueueTarget is the number of work-groups (walk queues) per device; 0
 	// selects ComputeUnits x MaxGroupsPerCU, enough to fill the device.
 	QueueTarget int
 	// Host models the CPU half of the pipeline.
@@ -54,52 +65,53 @@ type JWParallel struct {
 	// streaming while keeping the queueing — the ablation showing where the
 	// speedup comes from.
 	DisableLDSStaging bool
-	// SmallNCutoff, when positive, makes the plan fall back to the PP
-	// j-parallel kernel for systems below the cutoff — the paper's
-	// implementation note (1): under ~1024 bodies the tree/walk pipeline
-	// costs more than it saves and the jw scheme degenerates to j-parallel
-	// anyway. Zero (the default) disables the fallback so sweeps measure
-	// the walk pipeline at every size.
-	SmallNCutoff int
 
-	planBase
-	fallback *JParallel
+	jwDevice             // device 0
+	peers    []*jwDevice // devices 1..K-1
 
 	// data is the pooled host-side product of the build; steps 2..K reuse
 	// its arenas.
 	data bhHostData
-
-	bufSrc, bufPos, bufLists, bufDesc *gpusim.Buffer
-	bufQueueWalks, bufQueueDesc       *gpusim.Buffer
-	bufAcc                            *gpusim.Buffer
-	hostAcc                           []float32
 }
 
-// NewJWParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("jw-parallel"); see NewIParallel.
-func NewJWParallel(ctx *cl.Context, opt bh.Options) *JWParallel {
+// jwDevice is one simulated GPU of the plan: its context and queue, the
+// force kernel's buffers, and the host copy of its results.
+type jwDevice struct {
+	planBase
+	bufs    jwBuffers
+	hostAcc []float32
+}
+
+// newJWParallel creates the plan on the given context with the paper's
+// defaults.
+func newJWParallel(ctx *cl.Context, opt bh.Options) *JWParallel {
 	return &JWParallel{
 		Opt:       opt,
+		Devices:   1,
 		GroupCap:  24,
 		LocalSize: 64,
 		Host:      gpusim.PaperHost(),
-		planBase:  newPlanBase(ctx),
+		jwDevice:  jwDevice{planBase: newPlanBase(ctx)},
 	}
 }
 
 // Name implements Plan.
-func (p *JWParallel) Name() string { return "jw-parallel" }
+func (p *JWParallel) Name() string {
+	if p.Devices > 1 {
+		return fmt.Sprintf("jw-parallel x%d", p.Devices)
+	}
+	return "jw-parallel"
+}
 
 // SetObs implements obs.Observable: spans cover the whole pipeline (tree
 // build, walk construction, uploads, kernel, download) and the registry
-// receives the per-step breakdown.
+// receives the per-step breakdown. Every device queue reports into the same
+// bundle.
 func (p *JWParallel) SetObs(o *obs.Obs) {
 	p.setObs(o)
 	p.Opt.Trace = o.Tracer()
-	if p.fallback != nil {
-		p.fallback.SetObs(o)
+	for _, dev := range p.peers {
+		dev.setObs(o)
 	}
 }
 
@@ -124,15 +136,47 @@ func (p *JWParallel) numQueues(numWalks int) int {
 	return target
 }
 
-// graph builds the plan's stage graph: the treecode host front (tree, list),
-// the six uploads (walk data plus the balanced queue tables), the
-// queue-draining kernel, and the download.
-func (p *JWParallel) graph(d *bhHostData, queueWalks, queueDesc []int32, numQueues int) *pipeline.Graph {
+// device returns device k, creating devices 1..k from device 0's
+// configuration on first use.
+func (p *JWParallel) device(k int) (*jwDevice, error) {
+	if k == 0 {
+		return &p.jwDevice, nil
+	}
+	for len(p.peers) < k {
+		ctx, err := cl.NewContext(p.ctx.Device().Config)
+		if err != nil {
+			return nil, err
+		}
+		dev := &jwDevice{planBase: newPlanBase(ctx)}
+		dev.setObs(p.obs)
+		p.peers = append(p.peers, dev)
+	}
+	return p.peers[k-1], nil
+}
+
+// ensureBuffers sizes the device's buffers (grow-only) for host data d, the
+// given queue tables and n bodies.
+func (dev *jwDevice) ensureBuffers(d *bhHostData, queueWalks, queueDesc []int32, n int) {
+	dev.ensure("jwparallel.src", &dev.bufs.src, len(d.srcF4), true)
+	dev.ensure("jwparallel.posm", &dev.bufs.pos, len(d.posmSorted), true)
+	dev.ensure("jwparallel.lists", &dev.bufs.lists, len(d.lists), false)
+	dev.ensure("jwparallel.desc", &dev.bufs.desc, len(d.desc), false)
+	dev.ensure("jwparallel.qwalks", &dev.bufs.queueWalks, len(queueWalks), false)
+	dev.ensure("jwparallel.qdesc", &dev.bufs.queueDesc, len(queueDesc), false)
+	dev.ensure("jwparallel.acc", &dev.bufs.acc, 4*n, true)
+	if cap(dev.hostAcc) < 4*n {
+		dev.hostAcc = make([]float32, 4*n)
+	}
+	dev.hostAcc = dev.hostAcc[:4*n]
+}
+
+// graph builds one device's stage graph: the treecode host front (tree,
+// list), the six uploads (walk data plus the device's balanced queue
+// tables), the queue-draining kernel, and the download.
+func (p *JWParallel) graph(dev *jwDevice, kernelName string, d *bhHostData, queueWalks, queueDesc []int32, numQueues int) *pipeline.Graph {
 	staged := !p.DisableLDSStaging
-	kernel := jwKernel(jwBuffers{
-		src: p.bufSrc, pos: p.bufPos, lists: p.bufLists, desc: p.bufDesc,
-		queueWalks: p.bufQueueWalks, queueDesc: p.bufQueueDesc, acc: p.bufAcc,
-	}, p.Opt.G, p.Opt.Eps*p.Opt.Eps, staged)
+	b := dev.bufs
+	kernel := jwKernel(b, p.Opt.G, p.Opt.Eps*p.Opt.Eps, staged)
 	lds := 0
 	if staged {
 		lds = 4 * p.LocalSize
@@ -143,68 +187,83 @@ func (p *JWParallel) graph(d *bhHostData, queueWalks, queueDesc []int32, numQueu
 		g.Add(st)
 	}
 	return g.
-		Add(stageUploadF32("upload:src", p.bufSrc, d.srcF4, "list")).
-		Add(stageUploadF32("upload:posm", p.bufPos, d.posmSorted, "list")).
-		Add(stageUploadI32("upload:lists", p.bufLists, d.lists, "list")).
-		Add(stageUploadI32("upload:desc", p.bufDesc, d.desc, "list")).
-		Add(stageUploadI32("upload:qwalks", p.bufQueueWalks, queueWalks, "list")).
-		Add(stageUploadI32("upload:qdesc", p.bufQueueDesc, queueDesc, "list")).
-		Add(stageKernel("force", "jwparallel.force", kernel, gpusim.LaunchParams{
+		Add(stageUploadF32("upload:src", b.src, d.srcF4, "list")).
+		Add(stageUploadF32("upload:posm", b.pos, d.posmSorted, "list")).
+		Add(stageUploadI32("upload:lists", b.lists, d.lists, "list")).
+		Add(stageUploadI32("upload:desc", b.desc, d.desc, "list")).
+		Add(stageUploadI32("upload:qwalks", b.queueWalks, queueWalks, "list")).
+		Add(stageUploadI32("upload:qdesc", b.queueDesc, queueDesc, "list")).
+		Add(stageKernel("force", kernelName, kernel, gpusim.LaunchParams{
 			Global:    numQueues * p.LocalSize,
 			Local:     p.LocalSize,
 			LDSFloats: lds,
 		}, "upload:src", "upload:posm", "upload:lists", "upload:desc", "upload:qwalks", "upload:qdesc")).
-		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostAcc, "force"))
+		Add(stageDownloadF32("download:acc", b.acc, dev.hostAcc, "force"))
 }
 
-// Accel implements Plan.
+// Accel implements Plan. Each device runs the stage graph on its own queue
+// over its shard of the walks. Devices run concurrently, so with K >= 2 the
+// profile's kernel and transfer seconds are the maximum over devices, bytes
+// and flops their sum, and the host time is paid once; the evaluation then
+// spans several queues and carries no single Schedule.
 func (p *JWParallel) Accel(s *body.System) (*RunProfile, error) {
 	n := s.N()
 	if n == 0 {
 		return nil, fmt.Errorf("core: jw-parallel: empty system")
 	}
+	if p.Devices < 1 {
+		return nil, fmt.Errorf("core: jw-parallel: %d devices", p.Devices)
+	}
 	sp := p.obs.Start("accel", "plan").Track(p.Name()).Arg("n", n)
 	defer sp.End()
-	if p.SmallNCutoff > 0 && n < p.SmallNCutoff {
-		if p.fallback == nil {
-			p.fallback = NewJParallel(p.ctx, pp.Params{G: p.Opt.G, Eps: p.Opt.Eps})
-			p.fallback.SetObs(p.obs)
-		}
-		prof, err := p.fallback.Accel(s)
-		if err != nil {
-			return nil, err
-		}
-		prof.Plan = p.Name() + " (j-parallel fallback)"
-		return prof, nil
-	}
 	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize, p.Host, p.Policy, p.HostWorkers); err != nil {
 		return nil, err
 	}
 	d := &p.data
 	observeBHData(p.obs, d)
-	numQueues := p.numQueues(d.numWalks)
-	queueWalks, queueDesc := d.balanceQueues(numQueues)
 
-	p.ensure("jwparallel.src", &p.bufSrc, len(d.srcF4), true)
-	p.ensure("jwparallel.posm", &p.bufPos, len(d.posmSorted), true)
-	p.ensure("jwparallel.lists", &p.bufLists, len(d.lists), false)
-	p.ensure("jwparallel.desc", &p.bufDesc, len(d.desc), false)
-	p.ensure("jwparallel.qwalks", &p.bufQueueWalks, len(queueWalks), false)
-	p.ensure("jwparallel.qdesc", &p.bufQueueDesc, len(queueDesc), false)
-	p.ensure("jwparallel.acc", &p.bufAcc, 4*n, true)
-	if cap(p.hostAcc) < 4*n {
-		p.hostAcc = make([]float32, 4*n)
+	rp := &RunProfile{
+		Plan:             p.Name(),
+		N:                n,
+		Interactions:     d.interactions,
+		Flops:            interactionFlops(d.interactions),
+		HostBuildSeconds: d.wallSeconds,
 	}
-	p.hostAcc = p.hostAcc[:4*n]
+	for k, shard := range d.lpt(d.walkIDs(), p.Devices) {
+		if len(shard) == 0 {
+			continue
+		}
+		dev, err := p.device(k)
+		if err != nil {
+			return nil, err
+		}
+		numQueues := p.numQueues(len(shard))
+		queueWalks, queueDesc := queueTables(d.lpt(shard, numQueues))
+		dev.ensureBuffers(d, queueWalks, queueDesc, n)
+		kernelName := "jwparallel.force"
+		if k > 0 {
+			kernelName = fmt.Sprintf("jwparallel.force.dev%d", k)
+		}
 
-	rp, err := p.run(p.graph(d, queueWalks, queueDesc, numQueues), p.Name(), n, d.interactions)
-	if err != nil {
-		return nil, err
+		dev.queue.Reset()
+		sched, err := p.graph(dev, kernelName, d, queueWalks, queueDesc, numQueues).Execute(dev.queue, p.obs)
+		if err != nil {
+			return nil, err
+		}
+		rp.Launches = append(rp.Launches, sched.Launches()...)
+		dp := dev.queue.Profile()
+		if k == 0 {
+			sched.HostWallSeconds = d.wallSeconds
+			rp.Profile, rp.Schedule = dp, sched
+		} else {
+			rp.Schedule = nil
+			rp.Profile.KernelSeconds = max(rp.Profile.KernelSeconds, dp.KernelSeconds)
+			rp.Profile.TransferSeconds = max(rp.Profile.TransferSeconds, dp.TransferSeconds)
+			rp.Profile.TransferBytes += dp.TransferBytes
+			rp.Profile.KernelFlops += dp.KernelFlops
+		}
+		d.scatterAcc(s, shard, dev.hostAcc)
 	}
-	rp.HostBuildSeconds = d.wallSeconds
-	if rp.Schedule != nil {
-		rp.Schedule.HostWallSeconds = d.wallSeconds
-	}
-	d.unpermuteAcc(s, p.hostAcc)
+	observeRun(p.obs, rp)
 	return rp, nil
 }

@@ -19,7 +19,7 @@ import (
 // events, and device CU slices all landed in the one timeline.
 func TestMergedTraceEndToEnd(t *testing.T) {
 	ctx := newHD5850Context(t)
-	plan := NewJWParallel(ctx, bh.DefaultOptions())
+	plan := newJWParallel(ctx, bh.DefaultOptions())
 	eng := NewEngine(plan)
 	o := obs.New()
 	eng.SetObs(o)

@@ -14,7 +14,7 @@ import (
 // disabled telemetry adds no measurable overhead to plan execution.
 func benchJWAccel(b *testing.B, o *obs.Obs) {
 	ctx := newHD5850Context(b)
-	plan := NewJWParallel(ctx, bh.DefaultOptions())
+	plan := newJWParallel(ctx, bh.DefaultOptions())
 	plan.SetObs(o)
 	sys := ic.Plummer(2048, 7)
 	if _, err := plan.Accel(sys); err != nil {

@@ -40,8 +40,7 @@ type PlanOption func(*planOptions)
 
 // WithDevice selects the modelled device the plan creates its context on
 // (default gpusim.HD5850, the paper's card). Ignored when WithCLContext
-// supplies a context, except by multi-device plans, which always create
-// their own contexts from the device config.
+// supplies a context.
 func WithDevice(cfg gpusim.DeviceConfig) PlanOption {
 	return func(o *planOptions) { o.device = cfg }
 }
@@ -113,16 +112,14 @@ func PlanNames() []string {
 	}
 }
 
-// NewPlanByName constructs the named execution plan. It is the single entry
-// point the CLIs and the job service build plans through; the per-plan
-// constructors (NewIParallel, NewJParallel, NewWParallel, NewJWParallel,
-// NewMultiJW, NewCLPlanPP) remain for existing callers but new code should
-// come through here.
+// NewPlanByName constructs the named execution plan. It is the only
+// exported way to build a plan; the CLIs and the job service all come
+// through here.
 //
 // Names: the four paper plans ("i-parallel", "j-parallel", "w-parallel",
-// "jw-parallel"), the multi-device scale-out ("jw-parallel-xK", K >= 2), and
-// the OpenCL-C-source PP variants ("i-parallel-src", "j-parallel-src") that
-// run through the clc compiler.
+// "jw-parallel"), jw-parallel scaled out to K devices ("jw-parallel-xK",
+// K >= 2), and the OpenCL-C-source PP variants ("i-parallel-src",
+// "j-parallel-src") that run through the clc compiler.
 func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 	o := planOptions{
 		device: gpusim.HD5850(),
@@ -132,107 +129,74 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
+	devices := 1
+	if k, ok := strings.CutPrefix(name, "jw-parallel-x"); ok {
+		var err error
+		if devices, err = strconv.Atoi(k); err != nil || devices < 2 {
+			return nil, fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, K >= 2)", name)
+		}
+		name = "jw-parallel"
+	}
 	if o.kernelCheck != "" {
 		if err := PreflightKernelCheck(o.kernelCheck, o.obs, o.lintOut); err != nil {
 			return nil, err
 		}
 	}
-	ctx := func() (*cl.Context, error) {
-		if o.clCtx != nil {
-			return o.clCtx, nil
+	ctx := o.clCtx
+	if ctx == nil {
+		var err error
+		if ctx, err = cl.NewContext(o.device); err != nil {
+			return nil, err
 		}
-		return cl.NewContext(o.device)
+	}
+	setLocal := func(size *int) {
+		if o.localSize > 0 {
+			*size = o.localSize
+		}
 	}
 
 	var plan Plan
-	switch {
-	case name == "i-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewIParallel(c, o.params)
-		if o.localSize > 0 {
-			p.GroupSize = o.localSize
-		}
+	switch name {
+	case "i-parallel":
+		p := newIParallel(ctx, o.params)
+		setLocal(&p.GroupSize)
 		plan = p
-	case name == "j-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewJParallel(c, o.params)
-		if o.localSize > 0 {
-			p.GroupSize = o.localSize
-		}
+	case "j-parallel":
+		p := newJParallel(ctx, o.params)
+		setLocal(&p.GroupSize)
 		plan = p
-	case name == "w-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewWParallel(c, o.opt)
+	case "w-parallel":
+		p := newWParallel(ctx, o.opt)
 		if o.groupCap > 0 {
 			p.GroupCap = o.groupCap
 		}
-		if o.localSize > 0 {
-			p.LocalSize = o.localSize
-		}
+		setLocal(&p.LocalSize)
 		p.HostWorkers = o.hostWorkers
 		p.Policy = o.hostPolicy
 		plan = p
-	case name == "jw-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewJWParallel(c, o.opt)
+	case "jw-parallel":
+		p := newJWParallel(ctx, o.opt)
+		p.Devices = devices
 		if o.groupCap > 0 {
 			p.GroupCap = o.groupCap
 		}
-		if o.localSize > 0 {
-			p.LocalSize = o.localSize
-		}
+		setLocal(&p.LocalSize)
 		if o.queueTarget > 0 {
 			p.QueueTarget = o.queueTarget
 		}
 		p.HostWorkers = o.hostWorkers
 		p.Policy = o.hostPolicy
 		plan = p
-	case name == "i-parallel-src" || name == "j-parallel-src":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
+	case "i-parallel-src", "j-parallel-src":
 		variant := "iparallel"
 		if name == "j-parallel-src" {
 			variant = "jparallel"
 		}
-		p, err := NewCLPlanPP(c, o.params, variant)
+		p, err := newCLPlanPP(ctx, o.params, variant)
 		if err != nil {
 			return nil, err
 		}
-		if o.localSize > 0 {
-			p.GroupSize = o.localSize
-		}
-		plan = p
-	case strings.HasPrefix(name, "jw-parallel-x"):
-		k, err := strconv.Atoi(strings.TrimPrefix(name, "jw-parallel-x"))
-		if err != nil || k < 2 {
-			return nil, fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, K >= 2)", name)
-		}
-		p := NewMultiJW(o.opt, k, o.device)
-		if o.groupCap > 0 {
-			p.GroupCap = o.groupCap
-		}
-		if o.localSize > 0 {
-			p.LocalSize = o.localSize
-		}
-		if o.queueTarget > 0 {
-			p.QueueTarget = o.queueTarget
-		}
-		p.HostWorkers = o.hostWorkers
-		p.Policy = o.hostPolicy
+		setLocal(&p.GroupSize)
 		plan = p
 	default:
 		return nil, fmt.Errorf("core: unknown plan %q (known: %s)", name, strings.Join(PlanNames(), ", "))

@@ -43,7 +43,7 @@ func TestNewPlanByNameMultiDeviceSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mjw, ok := p.(*MultiJW)
+	mjw, ok := p.(*JWParallel)
 	if !ok || mjw.Devices != 3 {
 		t.Fatalf("jw-parallel-x3 built %T (devices=%d)", p, mjw.Devices)
 	}
@@ -122,31 +122,6 @@ func TestNewPlanByNameKernelCheck(t *testing.T) {
 	}
 	if _, err := NewPlanByName("jw-parallel", WithKernelCheck("bogus", nil)); err == nil {
 		t.Error("bogus kernel-check mode accepted")
-	}
-}
-
-func TestNewPlanByNameMatchesLegacyConstructor(t *testing.T) {
-	clCtx, err := cl.NewContext(gpusim.HD5850())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacySys := ic.Plummer(512, 7)
-	legacy := NewJWParallel(clCtx, bh.DefaultOptions())
-	if _, err := legacy.Accel(legacySys); err != nil {
-		t.Fatal(err)
-	}
-	namedSys := ic.Plummer(512, 7)
-	named, err := NewPlanByName("jw-parallel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := named.Accel(namedSys); err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacySys.Acc {
-		if legacySys.Acc[i] != namedSys.Acc[i] {
-			t.Fatalf("acceleration %d diverged between legacy and named construction", i)
-		}
 	}
 }
 

@@ -21,7 +21,7 @@ func TestAnalyticMatchesMeasuredPP(t *testing.T) {
 		sys := ic.Plummer(n, 1)
 		ctx := newHD5850Context(t)
 
-		ip := NewIParallel(ctx, pp.DefaultParams())
+		ip := newIParallel(ctx, pp.DefaultParams())
 		prof, err := ip.Accel(sys.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +33,7 @@ func TestAnalyticMatchesMeasuredPP(t *testing.T) {
 				n, predicted, measured, r)
 		}
 
-		jp := NewJParallel(ctx, pp.DefaultParams())
+		jp := newJParallel(ctx, pp.DefaultParams())
 		prof, err = jp.Accel(sys.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func TestAnalyticMatchesMeasuredBH(t *testing.T) {
 	ctx := newHD5850Context(t)
 
 	opt := bh.DefaultOptions()
-	jw := NewJWParallel(ctx, opt)
+	jw := newJWParallel(ctx, opt)
 	prof, err := jw.Accel(sys.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestAnalyticMatchesMeasuredBH(t *testing.T) {
 		t.Errorf("jw-parallel: predicted %g vs measured %g (ratio %g)", predicted, measured, r)
 	}
 
-	wp := NewWParallel(ctx, opt)
+	wp := newWParallel(ctx, opt)
 	prof, err = wp.Accel(sys.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +136,8 @@ func TestFromResultRoundTrip(t *testing.T) {
 	sys := ic.Plummer(2048, 3)
 
 	for _, mk := range []func() Plan{
-		func() Plan { return NewIParallel(ctx, pp.DefaultParams()) },
-		func() Plan { return NewJParallel(ctx, pp.DefaultParams()) },
+		func() Plan { return newIParallel(ctx, pp.DefaultParams()) },
+		func() Plan { return newJParallel(ctx, pp.DefaultParams()) },
 	} {
 		plan := mk()
 		prof, err := plan.Accel(sys.Clone())

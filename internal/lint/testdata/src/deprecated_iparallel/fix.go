@@ -2,11 +2,11 @@
 package fix
 
 import (
-	"repro/internal/core"
+	"repro/internal/lint/testdata/legacyplan"
 	"repro/internal/pp"
 )
 
 // build uses the legacy constructor NewPlanByName replaced.
-func build() *core.IParallel {
-	return core.NewIParallel(nil, pp.Params{})
+func build() *legacyplan.IParallel {
+	return legacyplan.NewIParallel(nil, pp.Params{})
 }

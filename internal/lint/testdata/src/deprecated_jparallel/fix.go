@@ -2,11 +2,11 @@
 package fix
 
 import (
-	"repro/internal/core"
+	"repro/internal/lint/testdata/legacyplan"
 	"repro/internal/pp"
 )
 
 // build uses the legacy constructor NewPlanByName replaced.
-func build() *core.JParallel {
-	return core.NewJParallel(nil, pp.Params{})
+func build() *legacyplan.JParallel {
+	return legacyplan.NewJParallel(nil, pp.Params{})
 }

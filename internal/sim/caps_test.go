@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bh"
 	"repro/internal/body"
 	"repro/internal/cl"
 	"repro/internal/core"
@@ -88,7 +87,11 @@ func TestCapsGPUEngineImplementsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Caps(core.NewEngine(core.NewJWParallel(clCtx, bh.DefaultOptions())))
+	eng, err := core.NewEngineByName("jw-parallel", core.WithCLContext(clCtx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Caps(eng)
 	if want := "timed,batch,context,executed,observable,hostbuild,hostworkers"; c.String() != want {
 		t.Errorf("core.Engine caps = %q, want %q", c, want)
 	}

@@ -25,7 +25,10 @@ func TestRunHermiteGPUJerkPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := pp.Params{G: 1, Eps: 0.05}
-	eng := core.NewEngine(core.NewIParallel(clCtx, params))
+	eng, err := core.NewEngineByName("i-parallel", core.WithCLContext(clCtx), core.WithPPParams(params))
+	if err != nil {
+		t.Fatal(err)
+	}
 	caps := Caps(eng)
 	if !strings.Contains(caps.String(), "jerk") {
 		t.Fatalf("PP core engine caps %q lack jerk", caps)
