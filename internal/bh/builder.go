@@ -26,12 +26,13 @@ import (
 // bodies are radix-sorted along the resulting Z-order curve once, and nodes
 // are then emitted top-down over contiguous key ranges — serially near the
 // root, worker-parallel across disjoint subtrees below a grain cutoff. Each
-// key digit is computed with the same float32 arithmetic the recursive
-// Build uses to subdivide cells, and each leaf's body range is re-sorted to
-// ascending body index (the order Build's stable partitions leave behind),
-// so the resulting tree — node array, child links, Index permutation and
-// float summaries — is bitwise identical to Build's for every input. The
-// equivalence test pins this.
+// key digit is computed with the same float32 arithmetic a recursive
+// top-down build uses to subdivide cells, and each leaf's body range is
+// re-sorted to ascending body index (the order that build's stable
+// partitions leave behind), so the resulting tree — node array, child links,
+// Index permutation and float summaries — is bitwise identical to the
+// recursive build's for every input. The equivalence test pins this against
+// a recursive oracle.
 //
 // Ownership: the Tree and WalkSet returned by BuildInto/BuildWalksInto point
 // into the builder's arenas and are valid until the next BuildInto /
@@ -110,8 +111,8 @@ func (b *Builder) Reset() {
 // pathKey encodes p's octant path through a perfectly subdivided octree
 // rooted at (center, half): one 3-bit digit per level, most significant
 // first, morton.Bits levels. Every digit is computed with exactly the
-// float32 comparisons and child-centre arithmetic of the recursive build,
-// so a stable sort by key groups bodies precisely as Build's per-level
+// float32 comparisons and child-centre arithmetic of a recursive build, so
+// a stable sort by key groups bodies precisely as that build's per-level
 // counting sorts would.
 func pathKey(p, center vec.V3, half float32) uint64 {
 	var ix, iy, iz uint32
@@ -144,8 +145,8 @@ func keyDigit(key uint64, depth int32) int32 {
 }
 
 // BuildInto constructs the octree for the bodies of s into the builder's
-// pooled tree, bitwise identical to Build(s, opt). The system is not
-// modified. The returned tree is valid until the next BuildInto or Reset.
+// pooled tree. The system is not modified. The returned tree is valid until
+// the next BuildInto or Reset.
 func (b *Builder) BuildInto(s *body.System, opt Options) (*Tree, error) {
 	opt.fill()
 	n := s.N()
@@ -442,10 +443,10 @@ func (b *Builder) assemble(ref int32) int32 {
 	return fi
 }
 
-// BuildWalksInto decomposes t's bodies into walks exactly as
-// Tree.BuildWalks does, but into the builder's pooled WalkSet: walk
-// headers, per-walk interaction lists and traversal stacks are all reused,
-// so the steady state allocates nothing. The returned set is valid until
+// BuildWalksInto decomposes t's bodies into walks (see Tree.BuildWalks)
+// into the builder's pooled WalkSet: walk headers, per-walk interaction
+// lists and traversal stacks are all reused, so the steady state allocates
+// nothing. The returned set is valid until
 // the next BuildWalksInto or Reset.
 func (b *Builder) BuildWalksInto(t *Tree, groupCap int) (*WalkSet, error) {
 	if groupCap <= 0 {

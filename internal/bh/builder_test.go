@@ -105,16 +105,16 @@ func requireWalksEqual(t *testing.T, want, got *WalkSet) {
 
 // TestBuilderMatchesBuild is the golden equivalence gate of the Morton path:
 // across ICs x options x worker counts, the Builder's tree and walks must be
-// bitwise identical to the recursive Build / BuildWalks — same node array,
+// bitwise identical to the recursive oracle (oracle_test.go) — same node array,
 // same Index permutation, same float summaries, same interaction lists.
 func TestBuilderMatchesBuild(t *testing.T) {
 	for icName, s := range builderICs() {
 		for optName, opt := range builderOpts() {
-			legacyTree, err := Build(s, opt)
+			legacyTree, err := oracleBuild(s, opt)
 			if err != nil {
 				t.Fatalf("%s/%s: Build: %v", icName, optName, err)
 			}
-			legacyWalks, err := legacyTree.BuildWalks(24)
+			legacyWalks, err := oracleBuildWalks(legacyTree, 24)
 			if err != nil {
 				t.Fatalf("%s/%s: BuildWalks: %v", icName, optName, err)
 			}
@@ -153,7 +153,7 @@ func TestBuilderReuseAcrossSystems(t *testing.T) {
 	b := &Builder{Workers: runtime.GOMAXPROCS(0)}
 	for _, n := range []int{2000, 100, 1, 700, 3000} {
 		s := ic.Plummer(n, uint64(n))
-		want, err := Build(s, DefaultOptions())
+		want, err := oracleBuild(s, DefaultOptions())
 		if err != nil {
 			t.Fatalf("n=%d: Build: %v", n, err)
 		}
@@ -162,7 +162,7 @@ func TestBuilderReuseAcrossSystems(t *testing.T) {
 			t.Fatalf("n=%d: BuildInto: %v", n, err)
 		}
 		requireTreesEqual(t, want, got)
-		wantW, err := want.BuildWalks(64)
+		wantW, err := oracleBuildWalks(want, 64)
 		if err != nil {
 			t.Fatalf("n=%d: BuildWalks: %v", n, err)
 		}
@@ -192,7 +192,7 @@ func TestBuilderReset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildInto after Reset: %v", err)
 	}
-	want, err := Build(s, DefaultOptions())
+	want, err := oracleBuild(s, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestBuilderReset(t *testing.T) {
 // system, with the per-builder worker pools racing internally.
 func TestBuilderParallelRace(t *testing.T) {
 	s := ic.Plummer(4000, 13)
-	want, err := Build(s, DefaultOptions())
+	want, err := oracleBuild(s, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package bh
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/pp"
 	"repro/internal/vec"
@@ -54,80 +52,26 @@ type WalkSet struct {
 // cell's centre of mass to the group's tight bounding box. This guarantees
 // the per-body theta criterion holds for every body of the group, so group
 // walks are never less accurate than per-body walks.
+//
+// The walks are built through a throwaway Builder; callers that build every
+// step should hold a Builder and call BuildWalksInto.
 func (t *Tree) BuildWalks(groupCap int) (*WalkSet, error) {
-	if groupCap <= 0 {
-		groupCap = 64
+	var b Builder
+	w, err := b.BuildWalksInto(t, groupCap)
+	if err != nil {
+		return nil, err
 	}
-	sp := t.Opt.Trace.Start("walk/list build", "host").Track("bh").Arg("groupCap", groupCap)
-	defer sp.End()
-	n := int32(t.sys.N())
-	ws := &WalkSet{Tree: t, GroupCap: groupCap}
-	for first := int32(0); first < n; first += int32(groupCap) {
-		count := n - first
-		if count > int32(groupCap) {
-			count = int32(groupCap)
-		}
-		bounds := vec.Empty()
-		for _, bi := range t.Index[first : first+count] {
-			bounds = bounds.Extend(t.sys.Pos[bi])
-		}
-		ws.Walks = append(ws.Walks, Walk{First: first, Count: count, Bounds: bounds})
-	}
-
-	// List construction is the dominant host-side cost of the jw pipeline
-	// and every walk's traversal is independent, so it runs across
-	// GOMAXPROCS goroutines. Each goroutine owns a disjoint slice of walks;
-	// the output is identical to a sequential build.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ws.Walks) {
-		workers = len(ws.Walks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(ws.Walks) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(ws.Walks) {
-			hi = len(ws.Walks)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if err := t.buildList(&ws.Walks[i]); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp.Arg("walks", len(ws.Walks)).Arg("interactions", ws.Interactions())
-	return ws, nil
+	// Copy the header out so the builder's other arenas can be reclaimed.
+	ws := *w
+	return &ws, nil
 }
 
-// buildList fills the interaction list of w by walking the tree against the
-// group's bounding box. The walk's own bodies enter the direct list through
-// their (always-opened) leaves, so no special casing is needed.
-func (t *Tree) buildList(w *Walk) error {
-	_, err := t.buildListInto(w, make([]int32, 0, 64))
-	return err
-}
-
-// buildListInto is buildList with a caller-owned traversal stack; it returns
-// the (possibly grown) stack so pooled callers — the Builder's parallel walk
-// construction — can reuse it without allocating per walk.
+// buildListInto fills the interaction list of w by walking the tree against
+// the group's bounding box. The walk's own bodies enter the direct list
+// through their (always-opened) leaves, so no special casing is needed. The
+// traversal stack is caller-owned; the (possibly grown) stack is returned so
+// the Builder's parallel walk construction reuses it without allocating per
+// walk.
 func (t *Tree) buildListInto(w *Walk, stack []int32) ([]int32, error) {
 	theta2 := t.Opt.Theta * t.Opt.Theta
 	stack = stack[:0]

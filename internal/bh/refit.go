@@ -15,8 +15,8 @@ import (
 // force error this introduces is bounded by how far bodies have strayed
 // from their build-time cells.
 //
-// Refit is O(N + nodes) against Build's O(N log N) with its per-level
-// partitioning, and it preserves Tree.Index, so walk sets built from the
+// Refit is O(N + nodes) against a full build's key sort and node emission,
+// and it preserves Tree.Index, so walk sets built from the
 // same tree remain structurally valid (their interaction lists, however,
 // reflect the *new* geometry only through the updated summaries — callers
 // decide the rebuild cadence; see sim-level tests for the error growth).

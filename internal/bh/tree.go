@@ -87,38 +87,26 @@ type Tree struct {
 	quads []Quad // filled by ComputeQuadrupoles; nil in the monopole pipeline
 }
 
-// Build constructs the octree for the bodies of s. The system is not
-// modified; Tree.Index captures the spatial ordering.
+// Build constructs the octree for the bodies of s through a throwaway
+// Builder (see Builder for the construction). The system is not modified;
+// Tree.Index captures the spatial ordering. Callers that build every step
+// should hold a Builder and call BuildInto, which reuses its arenas.
 func Build(s *body.System, opt Options) (*Tree, error) {
-	opt.fill()
-	n := s.N()
-	if n == 0 {
-		return nil, fmt.Errorf("bh: cannot build a tree over zero bodies")
+	var b Builder
+	t, err := b.BuildInto(s, opt)
+	if err != nil {
+		return nil, err
 	}
-	sp := opt.Trace.Start("tree build", "host").Track("bh").Arg("n", n)
-	defer sp.End()
-	t := &Tree{
-		Nodes: make([]Node, 0, 2*n/opt.LeafCap+16),
-		Index: make([]int32, n),
-		Opt:   opt,
-		sys:   s,
-	}
-	for i := range t.Index {
-		t.Index[i] = int32(i)
-	}
-	center, half := rootCell(s)
-	scratch := make([]int32, n)
-	t.build(center, half, 0, int32(n), 0, scratch)
-	t.summarize(0)
-	sp.Arg("nodes", len(t.Nodes))
-	return t, nil
+	// Copy the header out so the builder's other arenas can be reclaimed.
+	tree := *t
+	return &tree, nil
 }
 
 // System returns the body system the tree was built over.
 func (t *Tree) System() *body.System { return t.sys }
 
 // rootCell returns the root cell (centre, half extent) for a build over s.
-// The Morton-ordered Builder and the recursive Build share it, so both paths
+// The Morton-ordered Builder and the recursive test oracle share it, so both
 // classify bodies against bitwise-identical cell boundaries.
 func rootCell(s *body.System) (vec.V3, float32) {
 	b := s.Bounds()
@@ -130,66 +118,6 @@ func rootCell(s *body.System) (vec.V3, float32) {
 	// Grow slightly so boundary bodies classify strictly inside.
 	half *= 1.0001
 	return center, half
-}
-
-// build recursively constructs the node covering Index[first:first+count]
-// and returns its index in t.Nodes. scratch is a caller-owned slice of at
-// least n int32s: the counting-sort partition of a node writes through
-// scratch[first:first+count], which is free by the time the children (whose
-// ranges are disjoint sub-ranges) partition theirs, so one allocation serves
-// the whole build.
-func (t *Tree) build(center vec.V3, half float32, first, count int32, depth int, scratch []int32) int32 {
-	idx := int32(len(t.Nodes))
-	t.Nodes = append(t.Nodes, Node{
-		Center: center,
-		Half:   half,
-		First:  first,
-		Count:  count,
-		Leaf:   true,
-	})
-	for i := range t.Nodes[idx].Children {
-		t.Nodes[idx].Children[i] = NoChild
-	}
-	if int(count) <= t.Opt.LeafCap || depth >= t.Opt.MaxDepth {
-		return idx
-	}
-
-	// Partition the body range into the eight octants with a counting sort.
-	var octCount [8]int32
-	slice := t.Index[first : first+count]
-	for _, bi := range slice {
-		octCount[t.octant(center, bi)]++
-	}
-	var start [8]int32
-	var sum int32
-	for o := 0; o < 8; o++ {
-		start[o] = sum
-		sum += octCount[o]
-	}
-	tmp := scratch[first : first+count]
-	cursor := start
-	for _, bi := range slice {
-		o := t.octant(center, bi)
-		tmp[cursor[o]] = bi
-		cursor[o]++
-	}
-	copy(slice, tmp)
-
-	t.Nodes[idx].Leaf = false
-	qh := half / 2
-	for o := 0; o < 8; o++ {
-		if octCount[o] == 0 {
-			continue
-		}
-		cc := vec.V3{
-			X: center.X + qh*octSign(o, 0),
-			Y: center.Y + qh*octSign(o, 1),
-			Z: center.Z + qh*octSign(o, 2),
-		}
-		child := t.build(cc, qh, first+start[o], octCount[o], depth+1, scratch)
-		t.Nodes[idx].Children[o] = child
-	}
-	return idx
 }
 
 func (t *Tree) octant(center vec.V3, bi int32) int {
@@ -214,26 +142,10 @@ func octSign(o, axis int) float32 {
 	return -1
 }
 
-// summarize fills Mass, COM and Bounds bottom-up for the subtree rooted at
-// node ni.
-func (t *Tree) summarize(ni int32) {
-	n := &t.Nodes[ni]
-	if n.Leaf {
-		t.leafSummary(n)
-		return
-	}
-	for _, ci := range n.Children {
-		if ci != NoChild {
-			t.summarize(ci)
-		}
-	}
-	summarizeFromChildren(t.Nodes, ni)
-}
-
 // leafSummary fills Mass, COM and Bounds of a leaf by accumulating its
-// bodies in Index order (float64 accumulation, float32 result). Both build
-// paths — the recursive summarize and the Builder's bottom-up pass — go
-// through here, so the rounding is bitwise identical.
+// bodies in Index order (float64 accumulation, float32 result). The
+// Builder's bottom-up pass and the recursive test oracle both go through
+// here, so the rounding is bitwise identical.
 func (t *Tree) leafSummary(n *Node) {
 	var mx, my, mz, m float64
 	bounds := vec.Empty()
