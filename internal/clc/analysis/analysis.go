@@ -26,10 +26,12 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/clc"
+	"repro/internal/pragma"
 )
 
 // Severity classifies a diagnostic.
@@ -216,29 +218,37 @@ func AnalyzeProgram(prog *clc.Program, src string) *Result {
 			diags = append(diags, d)
 		}
 	}
-	sups, supDiags := parseSuppressions(src)
-	diags = append(diags, supDiags...)
+	// A standalone pragma covers the next code line and, when that line
+	// opens a brace block, the whole block — matched textually: the clc
+	// subset has no string or character literals, so brace counting is
+	// exact.
+	lines := strings.Split(src, "\n")
+	names := PassNames()
+	sups, audit := pragma.Parse(src, allowMarker,
+		func(rule string) bool { return slices.Contains(names, rule) },
+		func(line int) (int, int) { return suppressionExtent(lines, line-1) })
+	for _, a := range audit {
+		diags = append(diags, Diagnostic{
+			Rule: "suppression", Sev: SevWarning,
+			Tok:     clc.Token{Line: a.Line, Col: a.Col},
+			Message: a.Message,
+		})
+	}
 	for i := range diags {
 		if diags[i].Rule == "suppression" {
 			continue
 		}
-		for _, s := range sups {
-			if s.covers(diags[i].Rule, diags[i].Tok.Line) {
-				diags[i].Suppressed = true
-				diags[i].SuppressReason = s.reason
-				s.used = true
-				break
-			}
+		if p := pragma.Match(sups, diags[i].Rule, diags[i].Tok.Line); p != nil {
+			diags[i].Suppressed = true
+			diags[i].SuppressReason = p.Reason
 		}
 	}
-	for _, s := range sups {
-		if !s.used && s.reason != "" {
-			diags = append(diags, Diagnostic{
-				Rule: "suppression", Sev: SevWarning,
-				Tok:     clc.Token{Line: s.line, Col: 1},
-				Message: fmt.Sprintf("suppression for %s matches no finding", strings.Join(s.rules, ",")),
-			})
-		}
+	for _, u := range pragma.Unused(sups) {
+		diags = append(diags, Diagnostic{
+			Rule: "suppression", Sev: SevWarning,
+			Tok:     clc.Token{Line: u.Line, Col: u.Col},
+			Message: u.Message,
+		})
 	}
 	sort.SliceStable(diags, func(i, j int) bool {
 		if diags[i].Tok.Line != diags[j].Tok.Line {
@@ -252,102 +262,9 @@ func AnalyzeProgram(prog *clc.Program, src string) *Result {
 	return &Result{Diags: diags}
 }
 
-// suppression is one parsed kernelcheck:allow pragma.
-type suppression struct {
-	rules    []string
-	reason   string
-	line     int // pragma line
-	from, to int // covered line range, inclusive
-	used     bool
-}
-
-func (s *suppression) covers(rule string, line int) bool {
-	if line < s.from || line > s.to {
-		return false
-	}
-	for _, r := range s.rules {
-		if r == rule {
-			return true
-		}
-	}
-	return false
-}
-
+// allowMarker is the kernel-source suppression pragma; the grammar and
+// its audits are internal/pragma's, shared with repocheck.
 const allowMarker = "kernelcheck:allow"
-
-// parseSuppressions scans the raw source for kernelcheck:allow pragmas.
-// Comments are invisible to the lexer, so this is a line-oriented scan: a
-// pragma at the end of a code line covers that line; a pragma on its own
-// line covers the next code line and, when that line opens a brace block,
-// the whole block (matched textually — the clc subset has no string or
-// character literals, so brace counting is exact).
-func parseSuppressions(src string) ([]*suppression, []Diagnostic) {
-	if src == "" {
-		return nil, nil
-	}
-	lines := strings.Split(src, "\n")
-	var sups []*suppression
-	var diags []Diagnostic
-	for i, line := range lines {
-		idx := strings.Index(line, "//")
-		if idx < 0 {
-			continue
-		}
-		comment := line[idx+2:]
-		m := strings.Index(comment, allowMarker)
-		if m < 0 {
-			continue
-		}
-		lineNo := i + 1
-		body := strings.TrimSpace(comment[m+len(allowMarker):])
-		spec, reason := body, ""
-		if cut := strings.Index(body, "--"); cut >= 0 {
-			spec = strings.TrimSpace(body[:cut])
-			reason = strings.TrimSpace(body[cut+2:])
-		}
-		var rules []string
-		for _, r := range strings.Split(spec, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				rules = append(rules, r)
-			}
-		}
-		s := &suppression{rules: rules, reason: reason, line: lineNo}
-		if reason == "" {
-			diags = append(diags, Diagnostic{
-				Rule: "suppression", Sev: SevWarning,
-				Tok:     clc.Token{Line: lineNo, Col: idx + 1},
-				Message: "suppression without a justification (use: kernelcheck:allow rule -- reason)",
-			})
-		}
-		if known := PassNames(); true {
-			for _, r := range rules {
-				found := false
-				for _, k := range known {
-					if r == k {
-						found = true
-					}
-				}
-				if !found {
-					diags = append(diags, Diagnostic{
-						Rule: "suppression", Sev: SevWarning,
-						Tok:     clc.Token{Line: lineNo, Col: idx + 1},
-						Message: fmt.Sprintf("suppression names unknown rule %q", r),
-					})
-				}
-			}
-		}
-		if strings.TrimSpace(line[:idx]) != "" {
-			// Trailing pragma: covers its own line.
-			s.from, s.to = lineNo, lineNo
-		} else {
-			// Standalone pragma: covers the next code line, extended to the
-			// end of the brace block that line opens (if any).
-			s.from, s.to = suppressionExtent(lines, i)
-		}
-		sups = append(sups, s)
-	}
-	return sups, diags
-}
 
 // suppressionExtent returns the covered [from,to] line range (1-based) of a
 // standalone pragma at index i.

@@ -1,13 +1,13 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"strings"
+
+	"repro/internal/pragma"
 )
 
-// allowMarker is the in-source suppression pragma. The contract is the one
-// kernelcheck established for kernels: a justified
+// allowMarker is the in-source suppression pragma (grammar and audits in
+// internal/pragma, shared with kernelcheck): a justified
 //
 //	// repocheck:allow rule1,rule2 -- reason
 //
@@ -18,32 +18,11 @@ import (
 // "suppression" finding.
 const allowMarker = "repocheck:allow"
 
-// suppression is one parsed repocheck:allow pragma.
-type suppression struct {
-	rules    []string
-	reason   string
-	file     string // repo-relative, matching Diagnostic.File
-	line     int    // pragma line
-	from, to int    // covered line range, inclusive
-	used     bool
-}
-
-func (s *suppression) covers(rule, file string, line int) bool {
-	if file != s.file || line < s.from || line > s.to {
-		return false
-	}
-	for _, r := range s.rules {
-		if r == rule {
-			return true
-		}
-	}
-	return false
-}
-
-// parseSuppressions scans one package's raw sources for allow pragmas.
-// known is the registered rule-name set, for the unknown-rule audit.
-func parseSuppressions(l *Loader, pkg *Package, known map[string]bool) ([]*suppression, []Diagnostic) {
-	var sups []*suppression
+// parseSuppressions scans one package's raw sources for allow pragmas and
+// returns them keyed by repo-relative file (matching Diagnostic.File),
+// with the pragma audit findings. known is the registered rule-name set.
+func parseSuppressions(l *Loader, pkg *Package, known map[string]bool) (map[string][]*pragma.Pragma, []Diagnostic) {
+	sups := make(map[string][]*pragma.Pragma)
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		filename := l.Fset.Position(f.Pos()).Filename
@@ -53,58 +32,19 @@ func parseSuppressions(l *Loader, pkg *Package, known map[string]bool) ([]*suppr
 		}
 		rel := l.relPath(filename)
 		extents := nodeExtents(l, f)
-		lines := strings.Split(string(src), "\n")
-		for i, line := range lines {
-			idx := strings.Index(line, "//")
-			if idx < 0 {
-				continue
-			}
-			// The marker must lead the comment: prose that merely mentions
-			// the pragma (docs, this file) is not a pragma.
-			rest := strings.TrimLeft(line[idx+2:], " \t")
-			if !strings.HasPrefix(rest, allowMarker) {
-				continue
-			}
-			lineNo := i + 1
-			body := strings.TrimSpace(strings.TrimPrefix(rest, allowMarker))
-			spec, reason := body, ""
-			if cut := strings.Index(body, "--"); cut >= 0 {
-				spec = strings.TrimSpace(body[:cut])
-				reason = strings.TrimSpace(body[cut+2:])
-			}
-			var rules []string
-			for _, r := range strings.Split(spec, ",") {
-				if r = strings.TrimSpace(r); r != "" {
-					rules = append(rules, r)
-				}
-			}
-			s := &suppression{rules: rules, reason: reason, file: rel, line: lineNo}
-			if reason == "" {
-				diags = append(diags, Diagnostic{
-					Rule: "suppression", Sev: SevWarning,
-					File: rel, Line: lineNo, Col: idx + 1, Unit: pkg.Path,
-					Message: "suppression without a justification (use: repocheck:allow rule -- reason)",
-				})
-			}
-			for _, r := range rules {
-				if !known[r] {
-					diags = append(diags, Diagnostic{
-						Rule: "suppression", Sev: SevWarning,
-						File: rel, Line: lineNo, Col: idx + 1, Unit: pkg.Path,
-						Message: fmt.Sprintf("suppression names unknown rule %q", r),
-					})
-				}
-			}
-			if strings.TrimSpace(line[:idx]) != "" {
-				// Trailing pragma: covers its own line.
-				s.from, s.to = lineNo, lineNo
-			} else {
-				// Standalone pragma: covers the next statement or
-				// declaration, block and all — computed from the AST, so Go
-				// string literals containing braces cannot confuse it.
-				s.from, s.to = standaloneExtent(extents, lineNo)
-			}
-			sups = append(sups, s)
+		// A standalone pragma covers the next statement or declaration,
+		// block and all — computed from the AST, so Go string literals
+		// containing braces cannot confuse it.
+		ps, audit := pragma.Parse(string(src), allowMarker,
+			func(rule string) bool { return known[rule] },
+			func(line int) (int, int) { return standaloneExtent(extents, line) })
+		sups[rel] = ps
+		for _, a := range audit {
+			diags = append(diags, Diagnostic{
+				Rule: "suppression", Sev: SevWarning,
+				File: rel, Line: a.Line, Col: a.Col, Unit: pkg.Path,
+				Message: a.Message,
+			})
 		}
 	}
 	return sups, diags
@@ -152,26 +92,23 @@ func standaloneExtent(extents map[int]int, pragmaLine int) (int, int) {
 // pragmas left unused. Findings from the "suppression" rule itself are
 // never suppressible — an audit that could silence itself would not audit
 // anything.
-func applySuppressions(diags []Diagnostic, sups []*suppression) []Diagnostic {
+func applySuppressions(diags []Diagnostic, sups map[string][]*pragma.Pragma) []Diagnostic {
 	for i := range diags {
 		if diags[i].Rule == "suppression" {
 			continue
 		}
-		for _, s := range sups {
-			if s.covers(diags[i].Rule, diags[i].File, diags[i].Line) {
-				diags[i].Suppressed = true
-				diags[i].SuppressReason = s.reason
-				s.used = true
-				break
-			}
+		if p := pragma.Match(sups[diags[i].File], diags[i].Rule, diags[i].Line); p != nil {
+			diags[i].Suppressed = true
+			diags[i].SuppressReason = p.Reason
 		}
 	}
-	for _, s := range sups {
-		if !s.used && s.reason != "" {
+	// Map order is irrelevant: Check sorts the findings by position.
+	for file, ps := range sups {
+		for _, u := range pragma.Unused(ps) {
 			diags = append(diags, Diagnostic{
 				Rule: "suppression", Sev: SevWarning,
-				File: s.file, Line: s.line, Col: 1,
-				Message: fmt.Sprintf("suppression for %s matches no finding", strings.Join(s.rules, ",")),
+				File: file, Line: u.Line, Col: u.Col,
+				Message: u.Message,
 			})
 		}
 	}
