@@ -32,7 +32,13 @@
 //     staged once per work-group through local memory (the j-parallel idea
 //     applied inside each walk), with several walks queued per work-group so
 //     the device stays full and load-balanced (the w-parallel idea, made
-//     coarser). The tree build and list construction stay on the CPU.
+//     coarser). The tree build and list construction stay on the CPU. With
+//     JWParallel.Devices = K the same mapping scales out across K devices
+//     ("jw-parallel-xK"): one host build, walks sharded by the same
+//     balancer that fills each device's queues.
+//
+// Plans are built with NewPlanByName (or NewEngineByName, which wraps the
+// plan for the simulation driver); it is the only exported constructor.
 package core
 
 import (
@@ -92,8 +98,9 @@ type RunProfile struct {
 	Launches []*gpusim.Result
 	// Schedule is the executed stage schedule of the evaluation — which
 	// pipeline stages ran, where they landed on the modelled timeline. The
-	// perf layer attributes this directly; nil for plans that predate the
-	// stage-graph path (e.g. multi-device).
+	// perf layer attributes this directly. It is nil only when the
+	// evaluation spans more than one device queue (jw-parallel with
+	// Devices >= 2), where no single timeline exists.
 	Schedule *pipeline.Schedule
 	// HostBuildSeconds is the measured wall-clock cost of the host-side
 	// build for this evaluation (tree + walks + flattening on the machine

@@ -158,8 +158,8 @@ func (e *Engine) account(prof *RunProfile) {
 
 // SupportsJerk implements the sim.JerkEngine capability probe: the engine can
 // evaluate active-subset acceleration+jerk only when its plan is a PP plan on
-// the simulated device (the treecode has no exact jerk, and the multi-device
-// plan predates the stage-graph path).
+// the simulated device (the treecode plans, jw-parallel at any device count
+// included, have no exact jerk).
 func (e *Engine) SupportsJerk() bool {
 	if e.Plan.Kind() != KindPP {
 		return false

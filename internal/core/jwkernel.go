@@ -5,9 +5,8 @@ import (
 	"repro/internal/pp"
 )
 
-// jwBuffers bundles the device buffers the jw force kernel consumes, so the
-// kernel can be shared between the single-device JWParallel plan and the
-// MultiJW extension.
+// jwBuffers bundles the device buffers the jw force kernel consumes on one
+// device of a JWParallel plan.
 type jwBuffers struct {
 	src, pos, lists, desc *gpusim.Buffer
 	queueWalks, queueDesc *gpusim.Buffer
